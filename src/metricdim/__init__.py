@@ -43,7 +43,6 @@ from .families import (
 from .graph import (
     UNREACHABLE,
     Distance,
-    DistanceMap,
     Graph,
     add_edge,
     bfs_distances,
@@ -62,12 +61,10 @@ from .perturb import (
     apply_edit_sequence,
     augment_addition,
     augment_removal,
-    integer_interval,
     parse_edit_sequence,
 )
 from .resolving import (
     DimensionResult,
-    MetricCode,
     block_lower_bound_check,
     find_unresolved_pair,
     greedy_resolving_set,

@@ -166,8 +166,8 @@ def claim_strip_unresolved_pair(seed: int) -> str:
             lo, hi = families.strip_unresolved_pair(i, witness)
             k = lo.column
             labels = [w.label for w in witness]
-            code_lo = metric_code(g, labels, lo.label).entries
-            code_hi = metric_code(g, labels, hi.label).entries
+            code_lo = metric_code(g, labels, lo.label)
+            code_hi = metric_code(g, labels, hi.label)
             if code_lo != code_hi:
                 raise ClaimFailure(f"i={i}: pair {lo.label},{hi.label} split by {labels}")
             expected = tuple(-(-(k - w.column) // i) for w in witness)
@@ -354,7 +354,7 @@ def claim_nonbinary_ramp_codes(seed: int) -> str:
     midpoints = families.nonbinary_ramp_midpoints(spec)
     for label, i, x in midpoints:
         predicted = families.ramp_midpoint_code(spec.d, i, x)
-        actual = metric_code(graph, digit_hubs, label).entries
+        actual = metric_code(graph, digit_hubs, label)
         if actual != predicted:
             raise ClaimFailure(f"{label}: BFS code {actual}, predicted {predicted}")
     return f"all {len(midpoints)} ramp midpoints match their predicted codes"

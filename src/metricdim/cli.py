@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import combinations
 from typing import Sequence
 
 from . import claims, families, generators, ternary
@@ -42,6 +43,12 @@ def _read_text(path: str) -> str:
 
 def _load_graph(path: str) -> Graph:
     return parse_edge_list(_read_text(path))
+
+
+def _load_strings(path: str) -> list[str]:
+    """One string per line; blank lines and `#` comment lines are skipped."""
+    lines = (raw.strip() for raw in _read_text(path).splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def _emit_json(payload: dict) -> None:
@@ -136,11 +143,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         if args.canonical:
             strings = ternary.canonical_conflict_free(args.d)
         elif args.strings:
-            strings = [
-                line.strip()
-                for line in _read_text(args.strings).splitlines()
-                if line.strip() and not line.startswith("#")
-            ]
+            strings = _load_strings(args.strings)
         else:
             raise ValueError("nonbinary needs --canonical or --strings FILE")
         spec = families.NonbinarySpec(args.d, strings)
@@ -191,21 +194,11 @@ def _cmd_ternary(args: argparse.Namespace) -> int:
         _emit_json({"n": args.n, "size": size, "witness": witness})
         return EXIT_OK
     # check
-    strings = [
-        line.strip()
-        for line in _read_text(args.file).splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    strings = _load_strings(args.file)
     free = ternary.is_conflict_free(strings)
-    first_conflict = None
-    if not free:
-        from itertools import combinations
-
-        for x, y in combinations(strings, 2):
-            report = ternary.conflict(x, y)
-            if report.conflicts:
-                first_conflict = [x, y]
-                break
+    first_conflict = None if free else next(
+        [x, y] for x, y in combinations(strings, 2) if ternary._conflicts(x, y)
+    )
     _emit_json({"conflict_free": free, "count": len(strings), "first_conflict": first_conflict})
     return EXIT_OK if free else EXIT_FALSE
 

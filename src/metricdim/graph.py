@@ -8,8 +8,7 @@ deterministic.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -50,9 +49,14 @@ def validate_label(label: object) -> str:
 
 
 class Graph:
-    """Immutable undirected simple graph."""
+    """Immutable undirected simple graph.
 
-    __slots__ = ("_adj", "_edge_count")
+    Distances live here too: `distances(source)` runs one BFS the first time
+    a source is asked for and caches the row. Edits build a new graph with
+    an empty cache, so a row never outlives the edges it was measured on.
+    """
+
+    __slots__ = ("_adj", "_edge_count", "_index", "_rows")
 
     def __init__(self, adjacency: Mapping[str, Iterable[str]]) -> None:
         staged: dict[str, set[str]] = {}
@@ -69,6 +73,8 @@ class Graph:
             v: tuple(sorted(staged[v])) for v in sorted(staged)
         }
         self._edge_count: int = sum(len(ns) for ns in self._adj.values()) // 2
+        self._index: dict[str, int] = {v: i for i, v in enumerate(self._adj)}
+        self._rows: dict[str, tuple[Distance, ...]] = {}
 
     @property
     def vertex_count(self) -> int:
@@ -105,6 +111,33 @@ class Graph:
             for u in neighbors:
                 if v < u:
                     yield (v, u)
+
+    def index_of(self, vertex: str) -> int:
+        """Position of `vertex` in `vertices()` and in every distance row."""
+        self._require(vertex)
+        return self._index[vertex]
+
+    def distances(self, source: str) -> tuple[Distance, ...]:
+        """BFS distances from `source`, indexed like `vertices()`.
+
+        Vertices in other components get the UNREACHABLE sentinel. The row
+        is computed once per source and cached.
+        """
+        row = self._rows.get(source)
+        if row is None:
+            self._require(source)
+            adj = self._adj
+            dist = {source: 0}
+            queue = [source]
+            for x in queue:  # the list grows while it is walked: a FIFO queue
+                dx = dist[x] + 1
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = dx
+                        queue.append(y)
+            # dist.get(v, UNREACHABLE) for every vertex, in vertex order
+            row = self._rows[source] = tuple(map(dist.get, adj, repeat(UNREACHABLE)))
+        return row
 
     def _require(self, vertex: str) -> None:
         if vertex not in self._adj:
@@ -167,50 +200,18 @@ def remove_edge(graph: Graph, u: str, v: str) -> Graph:
     return Graph(adj)
 
 
-@dataclass(frozen=True)
-class DistanceMap:
-    """BFS distances from `source` to every vertex of one graph."""
-
-    source: str
-    dist: Mapping[str, Distance]
-
-    def __getitem__(self, vertex: str) -> Distance:
-        return self.dist[vertex]
-
-
-def _bfs_levels(adj: Mapping[str, tuple[str, ...]], source: str) -> dict[str, int]:
-    """Distances from `source` to the vertices it can reach."""
-    dist = {source: 0}
-    queue = deque((source,))
-    while queue:
-        x = queue.popleft()
-        dx = dist[x] + 1
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dx
-                queue.append(y)
-    return dist
-
-
-def bfs_distances(graph: Graph, source: str) -> DistanceMap:
-    """Exact unweighted shortest-path distances from `source`.
+def bfs_distances(graph: Graph, source: str) -> dict[str, Distance]:
+    """Exact unweighted shortest-path distances from `source`, by label.
 
     Vertices in other components get the UNREACHABLE sentinel.
     """
-    graph._require(source)
-    reached = _bfs_levels(graph.adjacency, source)
-    dist: dict[str, Distance] = {
-        v: reached.get(v, UNREACHABLE) for v in graph.vertices()
-    }
-    return DistanceMap(source, dist)
+    return dict(zip(graph.vertices(), graph.distances(source)))
 
 
 def is_connected(graph: Graph) -> bool:
     """Whether the graph has one component (empty graph counts as connected)."""
     verts = graph.vertices()
-    if not verts:
-        return True
-    return len(_bfs_levels(graph.adjacency, verts[0])) == len(verts)
+    return not verts or UNREACHABLE not in graph.distances(verts[0])
 
 
 def max_degree(graph: Graph) -> int:

@@ -19,7 +19,7 @@ from .errors import (
     NotResolvingError,
     SelfLoopError,
 )
-from .graph import Graph, _bfs_levels, add_edge, is_connected, remove_edge
+from .graph import Graph, add_edge, is_connected, remove_edge
 from .resolving import is_resolving
 
 
@@ -36,12 +36,6 @@ class EditStep:
 
 
 EditSequence = Sequence[EditStep]
-
-
-def integer_interval(a: int, b: int) -> set[int]:
-    """Closed interval of integers between a and b, in either order."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    return set(range(lo, hi + 1))
 
 
 def augment_addition(
@@ -65,11 +59,13 @@ def augment_addition(
         raise DisconnectedError("witness transfer requires a connected graph")
     if not is_resolving(graph, witness):
         raise NotResolvingError("witness does not resolve the input graph")
+    verts = graph.vertices()
+    iu, iv = graph.index_of(u), graph.index_of(v)
     captured: set[str] = set()
     for w in witness:
-        dist = _bfs_levels(graph.adjacency, w)
-        lo, hi = sorted((dist[u], dist[v]))
-        captured.update(x for x, dx in dist.items() if lo <= dx <= hi)
+        row = graph.distances(w)
+        lo, hi = sorted((row[iu], row[iv]))
+        captured.update(x for x, dx in zip(verts, row) if lo <= dx <= hi)
     appended = sorted(captured.difference(witness))
     return witness + tuple(appended)
 

@@ -11,7 +11,8 @@ rule: a twin pair is separated only by its own two members), or when the
 remaining picks cannot plausibly separate the remaining pairs.
 
 `metric_dimension_reference` is the unpruned baseline the pruned search is
-audited against; it shares no machinery with the fast path beyond BFS.
+audited against; it shares nothing with the fast path beyond the distance
+layer (`Graph.distances`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BlockOverlapError,
@@ -28,23 +29,7 @@ from .errors import (
     EmptyLandmarksError,
     ExceededError,
 )
-from .graph import (
-    UNREACHABLE,
-    Distance,
-    Graph,
-    _bfs_levels,
-    bfs_distances,
-    is_connected,
-    max_degree,
-)
-
-
-@dataclass(frozen=True)
-class MetricCode:
-    """Ordered distance vector of one vertex to an ordered landmark list."""
-
-    landmarks: tuple[str, ...]
-    entries: tuple[Distance, ...]
+from .graph import Distance, Graph, is_connected, max_degree
 
 
 @dataclass(frozen=True)
@@ -57,64 +42,42 @@ class DimensionResult:
     nodes_explored: int
 
 
-def metric_code(graph: Graph, landmarks: Iterable[str], vertex: str) -> MetricCode:
+def metric_code(
+    graph: Graph, landmarks: Iterable[str], vertex: str
+) -> tuple[Distance, ...]:
     """Distance vector of `vertex` to the ordered `landmarks`."""
     landmarks = tuple(landmarks)
     if not landmarks:
         raise EmptyLandmarksError("need at least one landmark")
-    for w in landmarks:
-        graph._require(w)
-    dist = bfs_distances(graph, vertex)
-    return MetricCode(landmarks, tuple(dist[w] for w in landmarks))
+    i = graph.index_of(vertex)
+    return tuple(graph.distances(w)[i] for w in landmarks)
 
 
-def _code_table(
-    graph: Graph, landmarks: Sequence[str]
-) -> dict[str, tuple[Distance, ...]]:
-    """Codes of every vertex with respect to `landmarks` (one BFS each)."""
-    columns = []
-    for w in landmarks:
-        graph._require(w)
-        columns.append(_bfs_levels(graph.adjacency, w))
-    return {
-        v: tuple(col.get(v, UNREACHABLE) for col in columns)
-        for v in graph.vertices()
-    }
+def _code_table(graph: Graph, landmarks: Iterable[str]) -> list[tuple[Distance, ...]]:
+    """Code of every vertex w.r.t. `landmarks`, indexed like `graph.vertices()`."""
+    rows = [graph.distances(w) for w in landmarks]
+    return list(zip(*rows)) if rows else [()] * graph.vertex_count
 
 
 def is_resolving(graph: Graph, landmarks: Iterable[str]) -> bool:
     """Whether all vertices get pairwise distinct codes w.r.t. `landmarks`."""
-    table = _code_table(graph, tuple(landmarks))
-    return len(set(table.values())) == len(table)
+    codes = _code_table(graph, landmarks)
+    return len(set(codes)) == len(codes)
 
 
 def find_unresolved_pair(
     graph: Graph, landmarks: Iterable[str]
 ) -> tuple[str, str] | None:
     """Lexicographically least vertex pair sharing a code, or None."""
-    table = _code_table(graph, tuple(landmarks))
+    codes = _code_table(graph, landmarks)
     groups: dict[tuple[Distance, ...], list[str]] = {}
-    for v in graph.vertices():  # sorted, so group members stay sorted
-        groups.setdefault(table[v], []).append(v)
+    for v, code in zip(graph.vertices(), codes):  # sorted, so groups stay sorted
+        groups.setdefault(code, []).append(v)
     candidates = [(g[0], g[1]) for g in groups.values() if len(g) >= 2]
     return min(candidates) if candidates else None
 
 
-def _distance_rows(graph: Graph) -> tuple[tuple[str, ...], list[list[int]]]:
-    """Vertex order and full integer distance matrix (graph must be connected)."""
-    verts = graph.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        levels = _bfs_levels(graph.adjacency, v)
-        row = [0] * len(verts)
-        for u, d in levels.items():
-            row[index[u]] = d
-        rows.append(row)
-    return verts, rows
-
-
-def _separation_masks(rows: list[list[int]]) -> tuple[list[int], int]:
+def _separation_masks(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Per-vertex bitmask over vertex pairs: bit set iff the vertex separates the pair.
 
     Pair (i, j), i < j, occupies bit offset[i] + (j - i - 1). A vertex fails
@@ -169,7 +132,7 @@ def metric_dimension_exact(
     """
     if not is_connected(graph):
         raise DisconnectedError("exact dimension requires a connected graph")
-    verts, rows = _distance_rows(graph)
+    verts = graph.vertices()
     n = len(verts)
     if n == 0:
         return DimensionResult(0, (), True, 0)
@@ -177,7 +140,7 @@ def metric_dimension_exact(
         max_k = max(1, n - 1)
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    masks, full = _separation_masks(rows)
+    masks, full = _separation_masks([graph.distances(v) for v in verts])
 
     suffix_or = [0] * (n + 1)
     suffix_best = [0] * (n + 1)
@@ -229,7 +192,7 @@ def metric_dimension_reference(graph: Graph, max_k: int | None = None) -> Dimens
     """Unpruned exhaustive baseline: try every subset by size, then lex order.
 
     Audit oracle for `metric_dimension_exact`; deliberately shares nothing
-    with it beyond BFS.
+    with it beyond the distance layer.
     """
     if not is_connected(graph):
         raise DisconnectedError("exact dimension requires a connected graph")
@@ -257,21 +220,22 @@ def greedy_resolving_set(graph: Graph) -> tuple[str, ...]:
         raise DisconnectedError("greedy selection requires a connected graph")
     verts = graph.vertices()
     if len(verts) <= 1:
-        return ()
-    rows = {v: _bfs_levels(graph.adjacency, v) for v in verts}
-    codes: dict[str, tuple[int, ...]] = {v: () for v in verts}
-    chosen: list[str] = []
-    taken: set[str] = set()
+        return verts  # a lone vertex is its own witness, as in the exact search
+    n = len(verts)
+    rows = [graph.distances(v) for v in verts]
+    codes: list[tuple[Distance, ...]] = [()] * n
+    chosen: list[int] = []
+    taken: set[int] = set()
     while True:
-        groups: dict[tuple[int, ...], list[str]] = {}
-        for v in verts:
-            groups.setdefault(codes[v], []).append(v)
+        groups: dict[tuple[Distance, ...], list[int]] = {}
+        for x, code in enumerate(codes):
+            groups.setdefault(code, []).append(x)
         clashes = [g for g in groups.values() if len(g) >= 2]
         if not clashes:
             break
         best_vertex = None
         best_score = 0
-        for w in verts:
+        for w in range(n):
             if w in taken:
                 continue
             row = rows[w]
@@ -288,8 +252,8 @@ def greedy_resolving_set(graph: Graph) -> tuple[str, ...]:
         chosen.append(best_vertex)
         taken.add(best_vertex)
         row = rows[best_vertex]
-        codes = {v: codes[v] + (row[v],) for v in verts}
-    result = tuple(chosen)
+        codes = [code + (d,) for code, d in zip(codes, row)]
+    result = tuple(verts[w] for w in chosen)
     if not is_resolving(graph, result):
         raise RuntimeError("greedy selection produced a non-resolving set")
     return result
@@ -319,15 +283,11 @@ def block_lower_bound_check(
         graph._require(rep)
         if rep not in block:
             raise ValueError(f"representative {rep!r} not in its block")
-    rep_dist: list[Mapping[str, int]] = [
-        _bfs_levels(graph.adjacency, rep) for rep in reps
-    ]
+    verts = graph.vertices()
+    rep_rows = [graph.distances(rep) for rep in reps]
     for i, j in combinations(range(len(frozen)), 2):
         excluded = frozen[i] | frozen[j]
-        di, dj = rep_dist[i], rep_dist[j]
-        for x in graph.vertices():
-            if x in excluded:
-                continue
-            if di.get(x, UNREACHABLE) != dj.get(x, UNREACHABLE):
+        for x, di, dj in zip(verts, rep_rows[i], rep_rows[j]):
+            if di != dj and x not in excluded:
                 return False
     return True

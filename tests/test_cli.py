@@ -93,6 +93,16 @@ def test_family_nonbinary_round_trip(capsys):
     assert graph.vertex_count == 48
 
 
+def test_family_nonbinary_strings_file(capsys, tmp_path):
+    pages = tmp_path / "pages.txt"
+    pages.write_text("# canonical d=2 pages\n00\n01\n\n  02  \n10\n11\n12\n20\n21\n")
+    code, from_file = run_cli(capsys, "family", "nonbinary", "--d", "2", "--strings", str(pages))
+    assert code == 0
+    code, canonical = run_cli(capsys, "family", "nonbinary", "--d", "2", "--canonical")
+    assert code == 0
+    assert parse_edge_list(from_file) == parse_edge_list(canonical)
+
+
 def test_family_tail(capsys, tmp_path, path_file):
     code, out = run_cli(
         capsys, "family", "tail", "--base", path_file, "--attach", "p0", "--len", "2"

@@ -137,8 +137,8 @@ def test_unresolved_pair_codes_on_window():
     witness = [StripVertex(a, b) for a in range(5) for b in (0, 1)]
     lo, hi = strip_unresolved_pair(i, witness)
     labels = [w.label for w in witness]
-    code_lo = metric_code(g, labels, lo.label).entries
-    code_hi = metric_code(g, labels, hi.label).entries
+    code_lo = metric_code(g, labels, lo.label)
+    code_hi = metric_code(g, labels, hi.label)
     assert code_lo == code_hi
     assert code_lo == tuple(math.ceil((lo.column - w.column) / i) for w in witness)
 
@@ -196,7 +196,7 @@ def test_nonbinary_midpoint_codes_match_prediction():
     g, _, _ = nonbinary_graph(spec)
     hubs = ["w1", "w2"]
     for label, i, x in nonbinary_ramp_midpoints(spec):
-        assert metric_code(g, hubs, label).entries == ramp_midpoint_code(2, i, x)
+        assert metric_code(g, hubs, label) == ramp_midpoint_code(2, i, x)
 
 
 def test_nonbinary_rejects_conflicts_and_mismatches():

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from metricdim.errors import (
     UnknownVertexError,
 )
 from metricdim.families import StripSpec, strip_graph
-from metricdim.generators import complete_graph, random_graph
+from metricdim.generators import complete_graph, cycle_graph, path_graph, random_graph
 from metricdim.graph import (
     UNREACHABLE,
     add_edge,
@@ -92,7 +93,7 @@ def test_add_then_remove_is_identity(abc_path):
 
 def test_bfs_on_path(abc_path):
     d = bfs_distances(abc_path, "a")
-    assert d.dist == {"a": 0, "b": 1, "c": 2}
+    assert d == {"a": 0, "b": 1, "c": 2}
 
 
 def test_bfs_strip_spot_checks():
@@ -117,6 +118,46 @@ def test_bfs_unreachable_sentinel():
 def test_bfs_unknown_source(abc_path):
     with pytest.raises(UnknownVertexError):
         bfs_distances(abc_path, "z")
+
+
+def test_edits_do_not_inherit_cached_rows():
+    g = path_graph(5)
+    before = {v: g.distances(v) for v in g.vertices()}
+    assert bfs_distances(g, "p0")["p3"] == 3
+    bigger = add_edge(g, "p0", "p3")
+    assert bfs_distances(bigger, "p0")["p3"] == 1
+    assert bfs_distances(bigger, "p3")["p0"] == 1
+    assert {v: g.distances(v) for v in g.vertices()} == before
+
+    c = cycle_graph(6)
+    ring = {v: c.distances(v) for v in c.vertices()}
+    opened = remove_edge(c, "c0", "c1")
+    assert bfs_distances(opened, "c0")["c1"] == 5
+    assert {v: c.distances(v) for v in c.vertices()} == ring
+
+
+def _reference_bfs(graph, source):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in graph.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return {v: dist.get(v, UNREACHABLE) for v in graph.vertices()}
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_bfs_matches_reference_on_random_graphs(seed):
+    # sparse G(n, p) is often disconnected, which exercises UNREACHABLE
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.0, 0.5))
+    for s in g.vertices():
+        expected = _reference_bfs(g, s)
+        assert bfs_distances(g, s) == expected
+        assert g.distances(s) == tuple(expected.values())
 
 
 def test_connectivity_and_degree():

@@ -21,24 +21,9 @@ from metricdim.perturb import (
     apply_edit_sequence,
     augment_addition,
     augment_removal,
-    integer_interval,
     parse_edit_sequence,
 )
 from metricdim.resolving import is_resolving
-
-
-def test_integer_interval():
-    assert integer_interval(2, 5) == {2, 3, 4, 5}
-    assert integer_interval(5, 2) == {2, 3, 4, 5}
-    assert integer_interval(3, 3) == {3}
-
-
-@given(st.integers(-50, 50), st.integers(-50, 50))
-def test_integer_interval_bounds(a, b):
-    interval = integer_interval(a, b)
-    assert min(interval) == min(a, b)
-    assert max(interval) == max(a, b)
-    assert len(interval) == abs(a - b) + 1
 
 
 def _formula_witness(g, witness, u, v):
@@ -46,7 +31,7 @@ def _formula_witness(g, witness, u, v):
     captured = set()
     for w in witness:
         dist = bfs_distances(g, w)
-        interval = integer_interval(dist[u], dist[v])
+        interval = range(min(dist[u], dist[v]), max(dist[u], dist[v]) + 1)
         captured.update(x for x in g.vertices() if dist[x] in interval)
     return tuple(witness) + tuple(sorted(captured - set(witness)))
 
@@ -205,7 +190,7 @@ def test_addition_growth_is_bounded(seed):
     per_landmark = 0
     for w in witness:
         dist = bfs_distances(g, w)
-        interval = integer_interval(dist[u], dist[v])
+        interval = range(min(dist[u], dist[v]), max(dist[u], dist[v]) + 1)
         per_landmark += sum(1 for x in verts if dist[x] in interval)
     assert len(witness) <= len(bigger) <= len(witness) + per_landmark
     assert len(bigger) <= len(verts)
