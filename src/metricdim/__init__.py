@@ -67,16 +67,13 @@ from .resolving import (
     DimensionResult,
     block_lower_bound_check,
     find_unresolved_pair,
-    greedy_resolving_set,
     is_resolving,
     metric_code,
     metric_dimension_exact,
     metric_dimension_reference,
 )
 from .ternary import (
-    ConflictReport,
     canonical_conflict_free,
-    conflict,
     is_conflict_free,
     max_conflict_free_bruteforce,
 )

@@ -43,7 +43,7 @@ class ClaimSkip(Exception):
 @dataclass(frozen=True)
 class ClaimReport:
     claim_id: str
-    status: str  # PASS | FAIL | SKIPPED
+    status: str  # PASS | FAIL | SKIPPED | ERROR
     details: str
     elapsed: float
 
@@ -490,7 +490,8 @@ def run_verify_suite(
     """Run every registered claim matching `prefix`, within a time budget.
 
     Claims run in claim-id order; each is skipped when its cost estimate no
-    longer fits the remaining budget. Failures are data, not exceptions.
+    longer fits the remaining budget. Failures are data, not exceptions: a
+    claim that raises anything else is reported as ERROR and the suite goes on.
     """
     reports: list[ClaimReport] = []
     remaining = budget
@@ -515,6 +516,8 @@ def run_verify_suite(
             details, status = str(exc), "FAIL"
         except ClaimSkip as exc:
             details, status = str(exc), "SKIPPED"
+        except Exception as exc:
+            details, status = f"{type(exc).__name__}: {exc}", "ERROR"
         elapsed = time.perf_counter() - start
         remaining -= elapsed
         reports.append(ClaimReport(claim.claim_id, status, details, elapsed))

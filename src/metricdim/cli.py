@@ -3,7 +3,8 @@
 Subcommands: gen, dim, check, perturb, family, ternary, verify. Graph
 files use the edge-list format; `-` reads from stdin. Exit codes: 0 ok,
 1 a verification came out false (or no witness within bounds), 2 usage
-error, 3 budget exceeded.
+error, 3 budget exceeded, 4 internal error (an unexpected exception, or a
+claim that crashed).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -222,12 +224,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         for r in reports:
             print(f"{r.status:<8}{r.claim_id:<26}{r.elapsed:>8.2f}s  {r.details}")
-        counts = {s: sum(1 for r in reports if r.status == s) for s in ("PASS", "FAIL", "SKIPPED")}
+        counts = {s: sum(1 for r in reports if r.status == s) for s in ("PASS", "FAIL", "ERROR", "SKIPPED")}
         print(
-            f"{counts['PASS']} passed, {counts['FAIL']} failed, {counts['SKIPPED']} skipped",
+            f"{counts['PASS']} passed, {counts['FAIL']} failed, {counts['ERROR']} errors, "
+            f"{counts['SKIPPED']} skipped",
             file=sys.stderr,
         )
-    return EXIT_FALSE if any(r.status == "FAIL" for r in reports) else EXIT_OK
+    statuses = {r.status for r in reports}
+    if "ERROR" in statuses:
+        return EXIT_INTERNAL
+    return EXIT_FALSE if "FAIL" in statuses else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,6 +326,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (MetricDimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -55,13 +55,6 @@ def ladder_graph(n_cols: int) -> Graph:
     return build_graph(edges)
 
 
-def petersen_graph() -> Graph:
-    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
-    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
-    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
-    return build_graph(outer + inner + spokes)
-
-
 def random_graph(rng: random.Random, n: int, edge_prob: float, prefix: str = "n") -> Graph:
     """Plain G(n, p); may be disconnected."""
     if n < 1:

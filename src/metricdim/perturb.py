@@ -81,6 +81,8 @@ def augment_removal(
     witness = tuple(witness)
     edited = remove_edge(graph, u, v)
     if not is_connected(edited):
+        if not is_connected(graph):
+            raise DisconnectedError("witness transfer requires a connected graph")
         raise DisconnectsGraphError(f"removing {u!r} -- {v!r} disconnects the graph")
     if not is_resolving(graph, witness):
         raise NotResolvingError("witness does not resolve the input graph")

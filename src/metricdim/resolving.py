@@ -7,8 +7,7 @@ unordered vertex pair is separated by some landmark, which turns the search
 into a covering problem over vertex pairs. Pruning is coverage-based: a
 branch dies as soon as a still-unseparated pair has no potential separator
 left among the remaining candidates (this subsumes the classic twin-pair
-rule: a twin pair is separated only by its own two members), or when the
-remaining picks cannot plausibly separate the remaining pairs.
+rule: a twin pair is separated only by its own two members).
 
 `metric_dimension_reference` is the unpruned baseline the pruned search is
 audited against; it shares nothing with the fast path beyond the distance
@@ -20,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BlockOverlapError,
@@ -77,12 +76,14 @@ def find_unresolved_pair(
     return min(candidates) if candidates else None
 
 
-def _separation_masks(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+def _separation_masks(
+    rows: Sequence[Sequence[int]], tick: Callable[[], None]
+) -> tuple[list[int], int]:
     """Per-vertex bitmask over vertex pairs: bit set iff the vertex separates the pair.
 
     Pair (i, j), i < j, occupies bit offset[i] + (j - i - 1). A vertex fails
     to separate exactly the pairs it sees at equal distance, so the mask is
-    built by grouping the distance row.
+    built by grouping the distance row. `tick` is called before each row.
     """
     n = len(rows)
     npairs = n * (n - 1) // 2
@@ -94,6 +95,7 @@ def _separation_masks(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
         acc += n - i - 1
     masks = []
     for row in rows:
+        tick()
         by_distance: dict[int, list[int]] = {}
         for i, d in enumerate(row):
             by_distance.setdefault(d, []).append(i)
@@ -128,8 +130,15 @@ def metric_dimension_exact(
     bound; within a size, candidate sets are visited in lexicographic order
     over the sorted vertex labels, and the first resolving set found is
     returned. Raises Exceeded when no resolving set of size <= max_k
-    exists, and Budget when the node or time budget runs out first.
+    exists, and Budget when the node or time budget runs out first; the
+    time budget also covers building the distance rows and separators.
     """
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+
+    def check_time() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetError(f"time budget {time_budget}s exhausted")
+
     if not is_connected(graph):
         raise DisconnectedError("exact dimension requires a connected graph")
     verts = graph.vertices()
@@ -140,47 +149,39 @@ def metric_dimension_exact(
         max_k = max(1, n - 1)
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    masks, full = _separation_masks([graph.distances(v) for v in verts])
+    if n == 1:
+        return DimensionResult(1, verts, True, 0)
+    rows = []
+    for v in verts:
+        check_time()
+        rows.append(graph.distances(v))
+    masks, full = _separation_masks(rows, check_time)
 
     suffix_or = [0] * (n + 1)
-    suffix_best = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | masks[i]
-        suffix_best[i] = max(suffix_best[i + 1], masks[i].bit_count())
 
     nodes = 0
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     def search(start: int, need: int, covered: int) -> list[int] | None:
         nonlocal nodes
         uncovered = full & ~covered
         if need == 0:
             return [] if not uncovered else None
-        if not uncovered:
-            # already covering: the least completion pads with the smallest
-            # remaining vertices (only reachable when k exceeds the minimum,
-            # or on graphs with a single vertex)
-            if n - start < need:
-                return None
-            return list(range(start, start + need))
         if uncovered & ~suffix_or[start]:
             return None  # some pair has no separator left
-        best = suffix_best[start]
-        if best == 0 or -(-uncovered.bit_count() // best) > need:
-            return None
         for v in range(start, n - need + 1):
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise BudgetError(f"node budget {node_budget} exhausted")
-            if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-                raise BudgetError(f"time budget {time_budget}s exhausted")
+            if nodes % 4096 == 0:
+                check_time()
             rest = search(v + 1, need - 1, covered | masks[v])
             if rest is not None:
                 return [v, *rest]
         return None
 
-    k_min = max(1, _min_size_from_degree(max_degree(graph)))
-    for k in range(k_min, min(max_k, n) + 1):
+    for k in range(_min_size_from_degree(max_degree(graph)), min(max_k, n) + 1):
         picked = search(0, k, 0)
         if picked is not None:
             witness = tuple(verts[i] for i in picked)
@@ -209,54 +210,6 @@ def metric_dimension_reference(graph: Graph, max_k: int | None = None) -> Dimens
             if is_resolving(graph, combo):
                 return DimensionResult(k, combo, True, checked)
     raise ExceededError(f"no resolving set of size <= {max_k}")
-
-
-def greedy_resolving_set(graph: Graph) -> tuple[str, ...]:
-    """Greedy resolving set: repeatedly add the vertex separating the most
-    still-equal code pairs, ties broken by least label. Not necessarily
-    minimum; the result is verified before it is returned.
-    """
-    if not is_connected(graph):
-        raise DisconnectedError("greedy selection requires a connected graph")
-    verts = graph.vertices()
-    if len(verts) <= 1:
-        return verts  # a lone vertex is its own witness, as in the exact search
-    n = len(verts)
-    rows = [graph.distances(v) for v in verts]
-    codes: list[tuple[Distance, ...]] = [()] * n
-    chosen: list[int] = []
-    taken: set[int] = set()
-    while True:
-        groups: dict[tuple[Distance, ...], list[int]] = {}
-        for x, code in enumerate(codes):
-            groups.setdefault(code, []).append(x)
-        clashes = [g for g in groups.values() if len(g) >= 2]
-        if not clashes:
-            break
-        best_vertex = None
-        best_score = 0
-        for w in range(n):
-            if w in taken:
-                continue
-            row = rows[w]
-            score = 0
-            for group in clashes:
-                parts: dict[int, int] = {}
-                for x in group:
-                    parts[row[x]] = parts.get(row[x], 0) + 1
-                m = len(group)
-                score += m * (m - 1) // 2 - sum(c * (c - 1) // 2 for c in parts.values())
-            if score > best_score:
-                best_vertex, best_score = w, score
-        assert best_vertex is not None  # a clash member always separates itself
-        chosen.append(best_vertex)
-        taken.add(best_vertex)
-        row = rows[best_vertex]
-        codes = [code + (d,) for code, d in zip(codes, row)]
-    result = tuple(verts[w] for w in chosen)
-    if not is_resolving(graph, result):
-        raise RuntimeError("greedy selection produced a non-resolving set")
-    return result
 
 
 def block_lower_bound_check(

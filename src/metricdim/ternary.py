@@ -7,7 +7,6 @@ position where both hold 2 and every position where they differ holds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
@@ -22,42 +21,7 @@ def validate_ternary(s: str) -> str:
     return s
 
 
-@dataclass(frozen=True)
-class ConflictReport:
-    """Outcome of a pairwise conflict test.
-
-    `shared_two_index` is the least position where both strings hold 2 (if
-    any); `violating_index` is the least differing position whose digit pair
-    is not {0,2} (if any). The pair conflicts iff the former exists and the
-    latter does not. Indices are 0-based.
-    """
-
-    conflicts: bool
-    shared_two_index: int | None
-    violating_index: int | None
-
-
-def conflict(x: str, y: str) -> ConflictReport:
-    """Full conflict report for two distinct equal-length ternary strings."""
-    validate_ternary(x)
-    validate_ternary(y)
-    if len(x) != len(y):
-        raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
-    if x == y:
-        raise EqualStringsError(f"strings must be distinct, both are {x!r}")
-    shared = None
-    violating = None
-    for idx, (cx, cy) in enumerate(zip(x, y)):
-        if cx == cy:
-            if cx == "2" and shared is None:
-                shared = idx
-        elif violating is None and ("1" in (cx, cy)):
-            violating = idx
-    return ConflictReport(shared is not None and violating is None, shared, violating)
-
-
 def _conflicts(x: str, y: str) -> bool:
-    # fast path without report bookkeeping
     shared = False
     for cx, cy in zip(x, y):
         if cx != cy:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from metricdim import claims, cli
 from metricdim.cli import main
 from metricdim.graph import parse_edge_list
 
@@ -186,3 +187,32 @@ def test_verify_budget_zero_skips_expensive(capsys):
     skipped = [line for line in lines if line.startswith("SKIPPED")]
     passed = [line for line in lines if line.startswith("PASS")]
     assert skipped and passed  # cheap invariants still run
+
+
+def test_verify_reports_crashing_claim_and_continues(capsys, monkeypatch):
+    def crash(seed):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(claims, "CLAIMS", [
+        claims.Claim("a.first", 0.0, lambda seed: "ok"),
+        claims.Claim("b.crash", 0.0, crash),
+        claims.Claim("c.last", 0.0, lambda seed: "ok"),
+    ])
+    code, payload = run_json(capsys, "verify", "--format", "json")
+    assert code == 4
+    reports = payload["reports"]
+    assert [(r["claim_id"], r["status"]) for r in reports] == [
+        ("a.first", "PASS"), ("b.crash", "ERROR"), ("c.last", "PASS"),
+    ]
+    assert reports[1]["details"] == "KeyError: 'missing'"
+    assert main(["verify"]) == 4
+    assert "2 passed, 0 failed, 1 errors, 0 skipped" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch, path_file):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "metric_dimension_exact", broken)
+    assert main(["dim", path_file]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

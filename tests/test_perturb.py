@@ -98,6 +98,10 @@ def test_removal_errors():
         augment_removal(c4, ("c0", "c1"), "c0", "c2")
     with pytest.raises(DisconnectsGraphError):
         augment_removal(path_graph(4), ("p0",), "p1", "p2")
+    # a-b lies on a cycle; the input itself is disconnected
+    two_parts = build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
+    with pytest.raises(DisconnectedError):
+        augment_removal(two_parts, ("a", "b", "d"), "a", "b")
     with pytest.raises(NotResolvingError):
         augment_removal(cycle_graph(5), ("c0",), "c0", "c1")
 

@@ -20,13 +20,11 @@ from metricdim.generators import (
     cycle_graph,
     ladder_graph,
     path_graph,
-    petersen_graph,
 )
 from metricdim.graph import build_graph
 from metricdim.resolving import (
     block_lower_bound_check,
     find_unresolved_pair,
-    greedy_resolving_set,
     is_resolving,
     metric_code,
     metric_dimension_exact,
@@ -86,7 +84,6 @@ def test_exact_degenerate_graphs():
     single = path_graph(1)
     assert metric_dimension_exact(single).witness == ("p0",)
     assert metric_dimension_reference(single).witness == ("p0",)
-    assert greedy_resolving_set(single) == ("p0",)
     empty = build_graph([])
     assert metric_dimension_exact(empty).dimension == 0
 
@@ -99,11 +96,24 @@ def test_exact_small_goldens():
 
 
 def test_exact_petersen():
-    assert metric_dimension_exact(petersen_graph()).dimension == 3
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    assert metric_dimension_exact(build_graph(outer + inner + spokes)).dimension == 3
 
 
 def test_exact_matches_reference_witness():
-    for graph in (complete_graph(4), cycle_graph(6), path_graph(5), ladder_graph(4)):
+    # K6, the star K1,6, K3,3 and C9 are twin-heavy or symmetric shapes
+    for graph in (
+        complete_graph(4),
+        cycle_graph(6),
+        path_graph(5),
+        ladder_graph(4),
+        complete_graph(6),
+        complete_bipartite_graph(1, 6),
+        complete_bipartite_graph(3, 3),
+        cycle_graph(9),
+    ):
         fast = metric_dimension_exact(graph)
         slow = metric_dimension_reference(graph)
         assert (fast.dimension, fast.witness) == (slow.dimension, slow.witness)
@@ -117,6 +127,8 @@ def test_exact_errors():
         metric_dimension_exact(cycle_graph(5), max_k=1)
     with pytest.raises(BudgetError):
         metric_dimension_exact(complete_graph(6), node_budget=1)
+    with pytest.raises(BudgetError):  # the budget covers building rows and separators
+        metric_dimension_exact(path_graph(300), time_budget=0.0)
 
 
 @given(st.integers(0, 10_000))
@@ -155,28 +167,6 @@ def test_unresolved_pair_agrees_with_is_resolving(seed):
         u, v = pair
         assert u < v
         assert metric_code(g, witness, u) == metric_code(g, witness, v)
-
-
-def test_greedy_on_path_picks_endpoint():
-    assert greedy_resolving_set(path_graph(5)) == ("p0",)
-
-
-def test_greedy_on_complete_graph():
-    witness = greedy_resolving_set(complete_graph(4))
-    assert len(witness) == 3
-    assert is_resolving(complete_graph(4), witness)
-
-
-def test_greedy_on_ladder():
-    g = ladder_graph(6)
-    witness = greedy_resolving_set(g)
-    assert len(witness) >= 2
-    assert is_resolving(g, witness)
-
-
-def test_greedy_rejects_disconnected():
-    with pytest.raises(DisconnectedError):
-        greedy_resolving_set(build_graph([("a", "b"), ("c", "d")]))
 
 
 def test_block_bound_vacuous_single_block(abc_path):

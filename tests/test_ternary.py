@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from metricdim.errors import EqualStringsError, LengthMismatchError, TooLargeError
 from metricdim.ternary import (
     canonical_conflict_free,
-    conflict,
     is_conflict_free,
     max_conflict_free_bruteforce,
 )
@@ -15,34 +14,20 @@ from metricdim.ternary import (
 ternary_strings = st.text(alphabet="012", min_size=1, max_size=6)
 
 
-def test_conflict_shared_two():
-    report = conflict("22", "20")
-    assert report.conflicts
-    assert report.shared_two_index == 0
-    assert report.violating_index is None
-
-
-def test_conflict_violating_position():
-    report = conflict("21", "12")
-    assert not report.conflicts
-    assert report.shared_two_index is None
-    assert report.violating_index == 0
-
-
-def test_conflict_no_shared_two():
-    report = conflict("02", "20")
-    assert not report.conflicts
-    assert report.shared_two_index is None
-    assert report.violating_index is None
+def _conflict_by_definition(x, y):
+    # the module docstring's definition, written independently of ternary._conflicts
+    pairs = list(zip(x, y))
+    shares_two = any(a == b == "2" for a, b in pairs)
+    return shares_two and all({a, b} == {"0", "2"} for a, b in pairs if a != b)
 
 
 def test_conflict_errors():
     with pytest.raises(LengthMismatchError):
-        conflict("0", "00")
+        is_conflict_free(["0", "00"])
     with pytest.raises(EqualStringsError):
-        conflict("01", "01")
+        is_conflict_free(["01", "01"])
     with pytest.raises(ValueError):
-        conflict("03", "00")
+        is_conflict_free(["03", "00"])
 
 
 @given(ternary_strings, ternary_strings)
@@ -50,12 +35,14 @@ def test_conflict_errors():
 def test_conflict_is_symmetric(x, y):
     if len(x) != len(y) or x == y:
         return
-    assert conflict(x, y).conflicts == conflict(y, x).conflicts
+    assert is_conflict_free([x, y]) == is_conflict_free([y, x])
+    assert is_conflict_free([x, y]) == (not _conflict_by_definition(x, y))
 
 
 def test_is_conflict_free():
-    assert is_conflict_free(["21", "12"])
-    assert not is_conflict_free(["22", "20"])
+    assert not is_conflict_free(["22", "20"])  # shared 2, differing pair {0, 2}
+    assert is_conflict_free(["21", "12"])  # no shared 2, differing pairs hold a 1
+    assert is_conflict_free(["02", "20"])  # differing pairs are {0, 2}, no shared 2
     assert is_conflict_free([])
     with pytest.raises(EqualStringsError):
         is_conflict_free(["0", "0"])
@@ -111,7 +98,7 @@ def test_max_conflict_free_small(n, expected):
     # the full conflict graph
     strings = ["".join(p) for p in product("012", repeat=n)]
     edges = [
-        (x, y) for x, y in combinations(strings, 2) if conflict(x, y).conflicts
+        (x, y) for x, y in combinations(strings, 2) if _conflict_by_definition(x, y)
     ]
     assert _independent_mis(strings, edges) == expected
 
@@ -122,7 +109,7 @@ def test_max_conflict_free_n2_against_full_subset_enumeration():
     for mask in range(1 << len(strings)):
         subset = [s for i, s in enumerate(strings) if mask >> i & 1]
         if all(
-            not conflict(x, y).conflicts for x, y in combinations(subset, 2)
+            not _conflict_by_definition(x, y) for x, y in combinations(subset, 2)
         ):
             best = max(best, len(subset))
     assert best == max_conflict_free_bruteforce(2)[0] == 8
