@@ -21,6 +21,27 @@ def _conflict_by_definition(x, y):
     return shares_two and all({a, b} == {"0", "2"} for a, b in pairs if a != b)
 
 
+def test_conflict_shared_two():
+    # both strings hold 2 at index 0; the differing pair at index 1 is {2, 0}
+    assert _conflict_by_definition("22", "20")
+    assert not is_conflict_free(["22", "20"])
+    assert not is_conflict_free(["20", "22"])
+
+
+def test_conflict_violating_position():
+    # index 0 differs as {2, 1}, which holds a 1, so the pair does not conflict
+    assert not _conflict_by_definition("21", "12")
+    assert is_conflict_free(["21", "12"])
+    assert is_conflict_free(["12", "21"])
+
+
+def test_conflict_no_shared_two():
+    # every differing pair is {0, 2}, but no index holds 2 in both strings
+    assert not _conflict_by_definition("02", "20")
+    assert is_conflict_free(["02", "20"])
+    assert is_conflict_free(["20", "02"])
+
+
 def test_conflict_errors():
     with pytest.raises(LengthMismatchError):
         is_conflict_free(["0", "00"])
@@ -40,9 +61,8 @@ def test_conflict_is_symmetric(x, y):
 
 
 def test_is_conflict_free():
-    assert not is_conflict_free(["22", "20"])  # shared 2, differing pair {0, 2}
-    assert is_conflict_free(["21", "12"])  # no shared 2, differing pairs hold a 1
-    assert is_conflict_free(["02", "20"])  # differing pairs are {0, 2}, no shared 2
+    assert is_conflict_free(["21", "12"])
+    assert not is_conflict_free(["22", "20"])
     assert is_conflict_free([])
     with pytest.raises(EqualStringsError):
         is_conflict_free(["0", "0"])
