@@ -453,29 +453,31 @@ def claim_exact_audit(seed: int) -> str:
     return f"pruned and unpruned searches agree on {len(sample)} graphs"
 
 
+# Cost estimates are about twice the `elapsed` that `metricdim verify
+# --format json` reports (2 cores, Python 3.11); 0.0 never skips.
 CLAIMS: tuple[Claim, ...] = tuple(
     sorted(
         [
-            Claim("corpus.degree-bound", 30.0, claim_corpus_degree_bound),
-            Claim("exact.audit", 30.0, claim_exact_audit),
-            Claim("kite.dimensions", 20.0, claim_kite_dimensions),
-            Claim("kite.witness-flip", 5.0, claim_kite_witness_flip),
-            Claim("ladder.dimension", 5.0, claim_ladder_dimension),
-            Claim("nonbinary.block-bound", 5.0, claim_nonbinary_block_bound),
-            Claim("nonbinary.exact-dim", 30.0, claim_nonbinary_exact_dim),
-            Claim("nonbinary.ramp-codes", 1.0, claim_nonbinary_ramp_codes),
-            Claim("nonbinary.resolving", 1.0, claim_nonbinary_resolving),
-            Claim("perturb.removal-bound", 60.0, claim_perturb_removal_bound),
-            Claim("perturb.soundness", 30.0, claim_perturb_soundness),
-            Claim("strip.canonical-resolves", 2.0, claim_strip_canonical_resolves),
+            Claim("corpus.degree-bound", 0.08, claim_corpus_degree_bound),
+            Claim("exact.audit", 0.05, claim_exact_audit),
+            Claim("kite.dimensions", 0.03, claim_kite_dimensions),
+            Claim("kite.witness-flip", 0.002, claim_kite_witness_flip),
+            Claim("ladder.dimension", 0.015, claim_ladder_dimension),
+            Claim("nonbinary.block-bound", 0.002, claim_nonbinary_block_bound),
+            Claim("nonbinary.exact-dim", 0.15, claim_nonbinary_exact_dim),
+            Claim("nonbinary.ramp-codes", 0.002, claim_nonbinary_ramp_codes),
+            Claim("nonbinary.resolving", 0.001, claim_nonbinary_resolving),
+            Claim("perturb.removal-bound", 0.4, claim_perturb_removal_bound),
+            Claim("perturb.soundness", 1.6, claim_perturb_soundness),
+            Claim("strip.canonical-resolves", 0.03, claim_strip_canonical_resolves),
             Claim("strip.sequence-laws", 0.0, claim_strip_sequence_laws),
-            Claim("strip.oracle-bfs", 3.0, claim_strip_oracle_bfs),
+            Claim("strip.oracle-bfs", 0.08, claim_strip_oracle_bfs),
             Claim("strip.sequences", 0.0, claim_strip_sequences),
-            Claim("strip.unresolved-pair", 2.0, claim_strip_unresolved_pair),
-            Claim("tail.sandwich", 30.0, claim_tail_sandwich),
-            Claim("ternary.canonical", 10.0, claim_ternary_canonical),
-            Claim("ternary.max-n4", 10.0, claim_ternary_max_n4),
-            Claim("ternary.max-small", 2.0, claim_ternary_max_small),
+            Claim("strip.unresolved-pair", 0.025, claim_strip_unresolved_pair),
+            Claim("tail.sandwich", 0.25, claim_tail_sandwich),
+            Claim("ternary.canonical", 1.3, claim_ternary_canonical),
+            Claim("ternary.max-n4", 0.004, claim_ternary_max_n4),
+            Claim("ternary.max-small", 0.001, claim_ternary_max_small),
         ],
         key=lambda c: c.claim_id,
     )
@@ -503,7 +505,7 @@ def run_verify_suite(
                 ClaimReport(
                     claim.claim_id,
                     "SKIPPED",
-                    f"budget-gated (needs ~{claim.cost_estimate:.0f}s)",
+                    f"budget-gated (needs ~{claim.cost_estimate:.1f}s)",
                     0.0,
                 )
             )

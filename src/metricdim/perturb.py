@@ -78,6 +78,13 @@ def augment_removal(
     The removed edge's endpoints are appended (in sorted label order) unless
     already present. Removals that disconnect the graph are rejected.
     """
+    return _removal(graph, witness, u, v)[1]
+
+
+def _removal(
+    graph: Graph, witness: Iterable[str], u: str, v: str
+) -> tuple[Graph, tuple[str, ...]]:
+    """`augment_removal`, also returning the edited graph it builds."""
     witness = tuple(witness)
     edited = remove_edge(graph, u, v)
     if not is_connected(edited):
@@ -87,7 +94,7 @@ def augment_removal(
     if not is_resolving(graph, witness):
         raise NotResolvingError("witness does not resolve the input graph")
     appended = sorted({u, v}.difference(witness))
-    return witness + tuple(appended)
+    return edited, witness + tuple(appended)
 
 
 def apply_edit_sequence(
@@ -107,8 +114,9 @@ def apply_edit_sequence(
             current_witness = augment_addition(current_graph, current_witness, step.u, step.v)
             current_graph = add_edge(current_graph, step.u, step.v)
         else:
-            current_witness = augment_removal(current_graph, current_witness, step.u, step.v)
-            current_graph = remove_edge(current_graph, step.u, step.v)
+            current_graph, current_witness = _removal(
+                current_graph, current_witness, step.u, step.v
+            )
         trajectory.append((current_graph, current_witness))
     return trajectory
 

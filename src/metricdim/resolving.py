@@ -1,15 +1,17 @@
 """Metric codes, resolving-set verification, and exact metric dimension.
 
-The exact search enumerates candidate landmark sets by increasing size and,
-within one size, in lexicographic label order, so the reported witness is
-always the least one. A landmark set resolves the graph exactly when every
-unordered vertex pair is separated by some landmark, which turns the search
-into a covering problem over vertex pairs. Pruning is coverage-based: a
-branch dies as soon as a still-unseparated pair has no potential separator
-left among the remaining candidates (this subsumes the classic twin-pair
-rule: a twin pair is separated only by its own two members).
+A landmark set resolves the graph exactly when every unordered vertex pair
+is separated by some landmark (a vertex at different distances from the
+two), so the exact search is a covering problem over vertex pairs. It runs
+on one separator set per pair, in two phases. The first finds the
+dimension k: sizes are tried upward from the degree bound, and each
+feasibility test branches on the uncovered pair with the fewest separators
+left, as in the covering view of Chartrand, Eroh, Johnson and Oellermann.
+The second fills the witness one position at a time with the least vertex
+whose remainder is still feasible, so the reported witness is always the
+lexicographically least minimum resolving set.
 
-`metric_dimension_reference` is the unpruned baseline the pruned search is
+`metric_dimension_reference` is the unpruned baseline the exact search is
 audited against; it shares nothing with the fast path beyond the distance
 layer (`Graph.distances`).
 """
@@ -76,37 +78,34 @@ def find_unresolved_pair(
     return min(candidates) if candidates else None
 
 
-def _separation_masks(
+def _pair_separators(
     rows: Sequence[Sequence[int]], tick: Callable[[], None]
-) -> tuple[list[int], int]:
-    """Per-vertex bitmask over vertex pairs: bit set iff the vertex separates the pair.
+) -> list[int]:
+    """Separator set of every vertex pair, as a vertex bitmask.
 
-    Pair (i, j), i < j, occupies bit offset[i] + (j - i - 1). A vertex fails
-    to separate exactly the pairs it sees at equal distance, so the mask is
-    built by grouping the distance row. `tick` is called before each row.
+    Pair (i, j), i < j, sits at index offset[i] + j; bit w of its entry is
+    set iff vertex w separates i and j. Every pair starts at all vertices and
+    each source clears its own bit on the pairs it sees at equal distance, so
+    the cost is the number of equal-distance pairs. `tick` is called before
+    each row.
     """
     n = len(rows)
-    npairs = n * (n - 1) // 2
-    full = (1 << npairs) - 1
-    offset = [0] * n
-    acc = 0
-    for i in range(n):
-        offset[i] = acc
-        acc += n - i - 1
-    masks = []
-    for row in rows:
+    offset = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+    seps = [(1 << n) - 1] * (n * (n - 1) // 2)
+    for w, row in enumerate(rows):
         tick()
-        by_distance: dict[int, list[int]] = {}
+        bit = 1 << w
+        levels: list[list[int]] = [[] for _ in range(max(row) + 1)]
         for i, d in enumerate(row):
-            by_distance.setdefault(d, []).append(i)
-        same = 0
-        for group in by_distance.values():
+            levels[d].append(i)
+        for group in levels:
+            if len(group) < 2:
+                continue
             for pos, i in enumerate(group):
-                base = offset[i] - i - 1
+                base = offset[i]
                 for j in group[pos + 1 :]:
-                    same |= 1 << (base + j)
-        masks.append(full ^ same)
-    return masks, full
+                    seps[base + j] ^= bit
+    return seps
 
 
 def _min_size_from_degree(delta: int) -> int:
@@ -127,11 +126,14 @@ def metric_dimension_exact(
     """Exact metric dimension with the lexicographically least minimum witness.
 
     Sizes are tried in increasing order starting from the degree lower
-    bound; within a size, candidate sets are visited in lexicographic order
-    over the sorted vertex labels, and the first resolving set found is
-    returned. Raises Exceeded when no resolving set of size <= max_k
-    exists, and Budget when the node or time budget runs out first; the
-    time budget also covers building the distance rows and separators.
+    bound; the first size k whose pairs can be covered is the dimension.
+    The witness is then built position by position from the sorted vertex
+    labels, each time taking the least vertex after the previous one from
+    which the rest can still be covered by later vertices. `nodes_explored`
+    counts the feasibility nodes of both phases. Raises Exceeded when no
+    resolving set of size <= max_k exists, and Budget when the node or time
+    budget runs out first; the time budget also covers building the
+    distance rows and separators.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
@@ -155,38 +157,73 @@ def metric_dimension_exact(
     for v in verts:
         check_time()
         rows.append(graph.distances(v))
-    masks, full = _separation_masks(rows, check_time)
-
-    suffix_or = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | masks[i]
+    # Pairs with equal separator sets need covering only once.
+    pairs = list(dict.fromkeys(_pair_separators(rows, check_time)))
 
     nodes = 0
 
-    def search(start: int, need: int, covered: int) -> list[int] | None:
+    def feasible(uncovered: list[int], allowed: int, need: int) -> bool:
+        """Whether at most `need` vertices of `allowed` separate every pair in `uncovered`.
+
+        Branches on the pair with the fewest allowed separators, one child per
+        separator in ascending order; a tried separator is left out of
+        `allowed` for its later siblings. The stack holds one frame per open
+        node: its pairs, the vertices its children may still use, their
+        need, and its untried separators.
+        """
         nonlocal nodes
-        uncovered = full & ~covered
-        if need == 0:
-            return [] if not uncovered else None
-        if uncovered & ~suffix_or[start]:
-            return None  # some pair has no separator left
-        for v in range(start, n - need + 1):
+        stack: list[tuple[list[int], int, int, int]] = []
+        while True:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise BudgetError(f"node budget {node_budget} exhausted")
-            if nodes % 4096 == 0:
-                check_time()
-            rest = search(v + 1, need - 1, covered | masks[v])
-            if rest is not None:
-                return [v, *rest]
-        return None
+            check_time()
+            if not uncovered:
+                return True
+            if need == 1:
+                common = allowed
+                for mask in uncovered:
+                    common &= mask
+                    if not common:
+                        break
+                if common:
+                    return True
+            elif need > 1:
+                counts = [(mask & allowed).bit_count() for mask in uncovered]
+                fewest = min(counts)
+                if fewest:
+                    hardest = uncovered[counts.index(fewest)]
+                    stack.append((uncovered, allowed, need - 1, hardest & allowed))
+            while stack:
+                parent, allowed, need, untried = stack.pop()
+                if untried:
+                    break
+            else:
+                return False
+            vertex = untried & -untried
+            allowed ^= vertex
+            stack.append((parent, allowed, need, untried ^ vertex))
+            uncovered = [mask for mask in parent if not mask & vertex]
 
+    everyone = (1 << n) - 1
     for k in range(_min_size_from_degree(max_degree(graph)), min(max_k, n) + 1):
-        picked = search(0, k, 0)
-        if picked is not None:
-            witness = tuple(verts[i] for i in picked)
-            return DimensionResult(k, witness, True, nodes)
-    raise ExceededError(f"no resolving set of size <= {max_k}")
+        if feasible(pairs, everyone, k):
+            break
+    else:
+        raise ExceededError(f"no resolving set of size <= {max_k}")
+
+    # Fill the witness position by position with the least vertex whose
+    # remainder can still be completed from later vertices.
+    picked: list[int] = []
+    for need in range(k - 1, -1, -1):
+        for v in range(picked[-1] + 1 if picked else 0, n):
+            vertex = 1 << v
+            rest = [mask for mask in pairs if not mask & vertex]
+            if feasible(rest, everyone & ~(2 * vertex - 1), need):
+                break
+        picked.append(v)
+        pairs = rest
+    return DimensionResult(k, tuple(verts[i] for i in picked), True, nodes)
 
 
 def metric_dimension_reference(graph: Graph, max_k: int | None = None) -> DimensionResult:

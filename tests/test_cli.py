@@ -189,6 +189,13 @@ def test_verify_budget_zero_skips_expensive(capsys):
     assert skipped and passed  # cheap invariants still run
 
 
+def test_verify_budget_fits_every_claim(capsys):
+    # the cost estimates are measured, so the whole suite fits in 25 s
+    code, payload = run_json(capsys, "verify", "--budget", "25", "--format", "json")
+    assert code == 0
+    assert "SKIPPED" not in {r["status"] for r in payload["reports"]}
+
+
 def test_verify_reports_crashing_claim_and_continues(capsys, monkeypatch):
     def crash(seed):
         raise KeyError("missing")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graph_from_seed
+from metricdim import perturb
 from metricdim.errors import (
     DisconnectedError,
     DisconnectsGraphError,
@@ -122,6 +123,34 @@ def test_add_then_remove_round_trip():
     assert final_graph == g
     assert set(final_witness) >= {"c0", "c1"}
     assert is_resolving(final_graph, final_witness)
+
+
+def test_sequence_builds_each_removal_once(monkeypatch):
+    g = cycle_graph(6)
+    steps = [
+        EditStep(EditOp.ADD, "c0", "c3"),
+        EditStep(EditOp.REMOVE, "c0", "c1"),
+        EditStep(EditOp.REMOVE, "c3", "c4"),
+    ]
+    # the trajectory chained by hand from the single-step functions
+    expected = [(g, ("c0", "c1"))]
+    for step in steps:
+        graph, witness = expected[-1]
+        if step.op is EditOp.ADD:
+            expected.append((add_edge(graph, step.u, step.v),
+                             augment_addition(graph, witness, step.u, step.v)))
+        else:
+            expected.append((remove_edge(graph, step.u, step.v),
+                             augment_removal(graph, witness, step.u, step.v)))
+    calls = []
+
+    def counting_remove_edge(graph, u, v):
+        calls.append((u, v))
+        return remove_edge(graph, u, v)
+
+    monkeypatch.setattr(perturb, "remove_edge", counting_remove_edge)
+    assert apply_edit_sequence(g, ("c0", "c1"), steps) == expected
+    assert calls == [("c0", "c1"), ("c3", "c4")]
 
 
 def test_sequence_propagates_errors(abc_path):

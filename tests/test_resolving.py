@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from metricdim.generators import (
     cycle_graph,
     ladder_graph,
     path_graph,
+    random_connected_graph,
 )
 from metricdim.graph import build_graph
 from metricdim.resolving import (
@@ -103,7 +105,7 @@ def test_exact_petersen():
 
 
 def test_exact_matches_reference_witness():
-    # K6, the star K1,6, K3,3 and C9 are twin-heavy or symmetric shapes
+    # K6, the stars K1,6 and K2,5, K3,3 and C9 are twin-heavy or symmetric shapes
     for graph in (
         complete_graph(4),
         cycle_graph(6),
@@ -111,8 +113,11 @@ def test_exact_matches_reference_witness():
         ladder_graph(4),
         complete_graph(6),
         complete_bipartite_graph(1, 6),
+        complete_bipartite_graph(2, 5),
         complete_bipartite_graph(3, 3),
         cycle_graph(9),
+        random_connected_graph(random.Random(12), 12, 0.3),
+        random_connected_graph(random.Random(13), 12, 0.3),
     ):
         fast = metric_dimension_exact(graph)
         slow = metric_dimension_reference(graph)
@@ -127,8 +132,31 @@ def test_exact_errors():
         metric_dimension_exact(cycle_graph(5), max_k=1)
     with pytest.raises(BudgetError):
         metric_dimension_exact(complete_graph(6), node_budget=1)
+    with pytest.raises(BudgetError):  # raised at the first search node
+        metric_dimension_exact(ladder_graph(5), node_budget=0)
     with pytest.raises(BudgetError):  # the budget covers building rows and separators
         metric_dimension_exact(path_graph(300), time_budget=0.0)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_exact_search_does_not_recurse():
+    # dimension 39 would need 39 nested frames in a recursive search; the
+    # reference cannot enumerate K40, so the expected answer is stated here
+    graph = complete_graph(40)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 20)
+    try:
+        result = metric_dimension_exact(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.dimension == 39
+    assert result.witness == graph.vertices()[:-1]
 
 
 @given(st.integers(0, 10_000))
