@@ -467,8 +467,8 @@ CLAIMS: tuple[Claim, ...] = tuple(
             Claim("nonbinary.exact-dim", 0.15, claim_nonbinary_exact_dim),
             Claim("nonbinary.ramp-codes", 0.002, claim_nonbinary_ramp_codes),
             Claim("nonbinary.resolving", 0.001, claim_nonbinary_resolving),
-            Claim("perturb.removal-bound", 0.4, claim_perturb_removal_bound),
-            Claim("perturb.soundness", 1.6, claim_perturb_soundness),
+            Claim("perturb.removal-bound", 0.35, claim_perturb_removal_bound),
+            Claim("perturb.soundness", 1.05, claim_perturb_soundness),
             Claim("strip.canonical-resolves", 0.03, claim_strip_canonical_resolves),
             Claim("strip.sequence-laws", 0.0, claim_strip_sequence_laws),
             Claim("strip.oracle-bfs", 0.08, claim_strip_oracle_bfs),

@@ -8,7 +8,7 @@ class MetricDimError(Exception):
 # graph construction and editing
 
 class InvalidLabelError(MetricDimError):
-    """Vertex label is empty, not a string, or contains whitespace."""
+    """Vertex label is empty, not a string, contains whitespace or starts with `#`."""
 
 
 class SelfLoopError(MetricDimError):

@@ -3,12 +3,13 @@
 A graph is frozen once built: edits return new values, so a graph and its
 edited variant can be held side by side. Adjacency lists are kept sorted,
 which makes every iteration order (and everything derived from one)
-deterministic.
+deterministic. Labels are checked once, when a graph is built; an edit keeps
+its parent's vertex set, so it reuses the parent's vertex index and checks
+nothing again.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -45,18 +46,23 @@ def validate_label(label: object) -> str:
         raise InvalidLabelError(f"vertex label must be a nonempty string, got {label!r}")
     if any(ch.isspace() for ch in label):
         raise InvalidLabelError(f"vertex label may not contain whitespace: {label!r}")
+    if label.startswith("#"):
+        # the edge-list format reads such a line as a comment
+        raise InvalidLabelError(f"vertex label may not start with '#': {label!r}")
     return label
 
 
 class Graph:
     """Immutable undirected simple graph.
 
-    Distances live here too: `distances(source)` runs one BFS the first time
-    a source is asked for and caches the row. Edits build a new graph with
-    an empty cache, so a row never outlives the edges it was measured on.
+    Besides the sorted label adjacency, a graph keeps the same adjacency as
+    vertex indices (positions in `vertices()`), and `distances(source)` runs
+    its BFS over those integers the first time a source is asked for, then
+    caches the row. Edits build a new graph with an empty cache, so a row
+    never outlives the edges it was measured on.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_index", "_rows")
+    __slots__ = ("_adj", "_edge_count", "_index", "_nbrs", "_rows")
 
     def __init__(self, adjacency: Mapping[str, Iterable[str]]) -> None:
         staged: dict[str, set[str]] = {}
@@ -69,11 +75,25 @@ class Graph:
             for u in neighbors:
                 if u not in staged or v not in staged[u]:
                     raise ValueError(f"asymmetric adjacency between {v!r} and {u!r}")
-        self._adj: dict[str, tuple[str, ...]] = {
-            v: tuple(sorted(staged[v])) for v in sorted(staged)
-        }
-        self._edge_count: int = sum(len(ns) for ns in self._adj.values()) // 2
-        self._index: dict[str, int] = {v: i for i, v in enumerate(self._adj)}
+        self._fill({v: tuple(sorted(staged[v])) for v in sorted(staged)}, None)
+
+    @classmethod
+    def _trusted(cls, adj: dict[str, tuple[str, ...]], index: dict[str, int] | None = None) -> Graph:
+        """Wrap adjacency that is already valid, without checking it.
+
+        `adj` must be label-sorted, with sorted, symmetric, loop-free lists
+        over checked labels. An edit passes its parent's `index`, since the
+        vertex set is the same.
+        """
+        graph = cls.__new__(cls)
+        graph._fill(adj, index)
+        return graph
+
+    def _fill(self, adj: dict[str, tuple[str, ...]], index: dict[str, int] | None) -> None:
+        self._adj = adj
+        self._index = index = {v: i for i, v in enumerate(adj)} if index is None else index
+        self._nbrs = tuple(tuple(map(index.__getitem__, ns)) for ns in adj.values())
+        self._edge_count = sum(map(len, self._nbrs)) // 2
         self._rows: dict[str, tuple[Distance, ...]] = {}
 
     @property
@@ -125,18 +145,18 @@ class Graph:
         """
         row = self._rows.get(source)
         if row is None:
-            self._require(source)
-            adj = self._adj
-            dist = {source: 0}
-            queue = [source]
+            start = self.index_of(source)
+            nbrs = self._nbrs
+            dist: list[Distance] = [UNREACHABLE] * len(nbrs)
+            dist[start] = 0
+            queue = [start]
             for x in queue:  # the list grows while it is walked: a FIFO queue
                 dx = dist[x] + 1
-                for y in adj[x]:
-                    if y not in dist:
+                for y in nbrs[x]:
+                    if dist[y] is UNREACHABLE:
                         dist[y] = dx
                         queue.append(y)
-            # dist.get(v, UNREACHABLE) for every vertex, in vertex order
-            row = self._rows[source] = tuple(map(dist.get, adj, repeat(UNREACHABLE)))
+            row = self._rows[source] = tuple(dist)
         return row
 
     def _require(self, vertex: str) -> None:
@@ -161,19 +181,26 @@ def build_graph(
     """Build a graph from unordered label pairs.
 
     Duplicate pairs collapse into one edge; `isolated` lists vertices that
-    appear in no edge.
+    appear in no edge. Each distinct label is checked once, after staging;
+    a label is hashed only once it is known to be a string.
     """
     staged: dict[str, set[str]] = {}
     for label in isolated:
-        staged.setdefault(validate_label(label), set())
+        if not isinstance(label, str):
+            validate_label(label)
+        staged.setdefault(label, set())
     for u, v in edges:
-        validate_label(u)
-        validate_label(v)
-        if u == v:
+        if u == v or not isinstance(u, str) or not isinstance(v, str):
+            # raise as a check of each label in order would have: a bad
+            # label staged so far or in this pair first, else the loop
+            for label in (*staged, u, v):
+                validate_label(label)
             raise SelfLoopError(f"self-loop at {u!r}")
         staged.setdefault(u, set()).add(v)
         staged.setdefault(v, set()).add(u)
-    return Graph(staged)
+    for label in staged:
+        validate_label(label)
+    return Graph._trusted({v: tuple(sorted(staged[v])) for v in sorted(staged)})
 
 
 def add_edge(graph: Graph, u: str, v: str) -> Graph:
@@ -182,10 +209,10 @@ def add_edge(graph: Graph, u: str, v: str) -> Graph:
         raise SelfLoopError(f"self-loop at {u!r}")
     if graph.has_edge(u, v):
         raise EdgeExistsError(f"edge {u!r} -- {v!r} already present")
-    adj = dict(graph.adjacency)
-    adj[u] = adj[u] + (v,)
-    adj[v] = adj[v] + (u,)
-    return Graph(adj)
+    adj = dict(graph._adj)
+    adj[u] = tuple(sorted(adj[u] + (v,)))
+    adj[v] = tuple(sorted(adj[v] + (u,)))
+    return Graph._trusted(adj, graph._index)
 
 
 def remove_edge(graph: Graph, u: str, v: str) -> Graph:
@@ -194,10 +221,10 @@ def remove_edge(graph: Graph, u: str, v: str) -> Graph:
         raise SelfLoopError(f"self-loop at {u!r}")
     if not graph.has_edge(u, v):
         raise EdgeMissingError(f"edge {u!r} -- {v!r} not present")
-    adj = dict(graph.adjacency)
+    adj = dict(graph._adj)
     adj[u] = tuple(x for x in adj[u] if x != v)
     adj[v] = tuple(x for x in adj[v] if x != u)
-    return Graph(adj)
+    return Graph._trusted(adj, graph._index)
 
 
 def bfs_distances(graph: Graph, source: str) -> dict[str, Distance]:

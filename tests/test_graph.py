@@ -17,6 +17,7 @@ from metricdim.families import StripSpec, strip_graph
 from metricdim.generators import complete_graph, cycle_graph, path_graph, random_graph
 from metricdim.graph import (
     UNREACHABLE,
+    Graph,
     add_edge,
     bfs_distances,
     build_graph,
@@ -60,6 +61,43 @@ def test_build_rejects_self_loop_and_bad_labels():
         build_graph([("a", "b c")])
     with pytest.raises(InvalidLabelError):
         build_graph([("", "b")])
+    with pytest.raises(InvalidLabelError):
+        build_graph([("a b", "a b")])  # a bad label beats the self-loop
+    for bad in (1, None, ["x"], ("x",)):  # not a string, hashable or not
+        with pytest.raises(InvalidLabelError):
+            build_graph([(bad, "b")])
+        with pytest.raises(InvalidLabelError):
+            build_graph([("a", bad)])
+        with pytest.raises(InvalidLabelError):
+            build_graph([], isolated=[bad])
+    # the first bad pair in input order decides the class
+    with pytest.raises(InvalidLabelError):
+        build_graph([("a", "b c"), ("d", "d")])
+    with pytest.raises(InvalidLabelError):
+        build_graph([("d", "d")], isolated=["e f"])
+    with pytest.raises(SelfLoopError):
+        build_graph([("d", "d"), ("a", "b c")])
+    with pytest.raises(ValueError):
+        Graph({"a": ["b"]})  # asymmetric
+    with pytest.raises(SelfLoopError):
+        Graph({"a": ["a"]})
+    with pytest.raises(InvalidLabelError):
+        Graph({"a b": []})
+
+
+def test_labels_may_not_start_with_hash():
+    # the edge-list format reads "#..." lines as comments, so such a label
+    # could not survive format_edge_list -> parse_edge_list
+    with pytest.raises(InvalidLabelError):
+        build_graph([("#a", "b"), ("b", "c")])
+    with pytest.raises(InvalidLabelError):
+        build_graph([], isolated=["#x", "y"])
+    with pytest.raises(InvalidLabelError):
+        Graph({"#a": ["b"], "b": ["#a"]})
+    with pytest.raises(InvalidLabelError):
+        parse_edge_list("a #b\n")
+    g = build_graph([("a#", "b")])  # '#' after the first character is fine
+    assert parse_edge_list(format_edge_list(g)) == g
 
 
 def test_add_edge_makes_triangle(abc_path):
@@ -125,6 +163,7 @@ def test_edits_do_not_inherit_cached_rows():
     before = {v: g.distances(v) for v in g.vertices()}
     assert bfs_distances(g, "p0")["p3"] == 3
     bigger = add_edge(g, "p0", "p3")
+    assert [bigger.index_of(v) for v in g.vertices()] == list(range(5))
     assert bfs_distances(bigger, "p0")["p3"] == 1
     assert bfs_distances(bigger, "p3")["p0"] == 1
     assert {v: g.distances(v) for v in g.vertices()} == before
@@ -132,6 +171,9 @@ def test_edits_do_not_inherit_cached_rows():
     c = cycle_graph(6)
     ring = {v: c.distances(v) for v in c.vertices()}
     opened = remove_edge(c, "c0", "c1")
+    assert [opened.index_of(v) for v in c.vertices()] == list(range(6))
+    with pytest.raises(UnknownVertexError):
+        opened.index_of("z")
     assert bfs_distances(opened, "c0")["c1"] == 5
     assert {v: c.distances(v) for v in c.vertices()} == ring
 
@@ -158,6 +200,32 @@ def test_bfs_matches_reference_on_random_graphs(seed):
         expected = _reference_bfs(g, s)
         assert bfs_distances(g, s) == expected
         assert g.distances(s) == tuple(expected.values())
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_edit_chains_match_reference(seed):
+    # edited graphs skip the checks and share their parent's vertex index;
+    # every row must still match a BFS written here and a checked rebuild,
+    # and the parent must be left as it was
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.0, 0.5))
+    verts = g.vertices()
+    for _ in range(rng.randint(1, 6)):
+        rows = {s: g.distances(s) for s in verts}
+        adjacency = dict(g.adjacency)
+        u, v = rng.sample(verts, 2)
+        edited = remove_edge(g, u, v) if g.has_edge(u, v) else add_edge(g, u, v)
+        assert edited.has_edge(u, v) != g.has_edge(u, v)
+        checked = Graph(dict(edited.adjacency))
+        assert checked == edited
+        for s in verts:
+            assert edited.distances(s) == tuple(_reference_bfs(edited, s).values())
+            assert edited.distances(s) == checked.distances(s)
+            assert edited.index_of(s) == checked.index_of(s)
+        assert {s: g.distances(s) for s in verts} == rows
+        assert dict(g.adjacency) == adjacency
+        g = edited
 
 
 def test_connectivity_and_degree():
