@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from itertools import combinations
 from typing import Sequence
 
 from . import claims, families, generators, ternary
@@ -197,12 +196,10 @@ def _cmd_ternary(args: argparse.Namespace) -> int:
         return EXIT_OK
     # check
     strings = _load_strings(args.file)
-    free = ternary.is_conflict_free(strings)
-    first_conflict = None if free else next(
-        [x, y] for x, y in combinations(strings, 2) if ternary._conflicts(x, y)
-    )
-    _emit_json({"conflict_free": free, "count": len(strings), "first_conflict": first_conflict})
-    return EXIT_OK if free else EXIT_FALSE
+    pair = ternary._first_conflict(strings)
+    first_conflict = None if pair is None else list(pair)
+    _emit_json({"conflict_free": pair is None, "count": len(strings), "first_conflict": first_conflict})
+    return EXIT_OK if pair is None else EXIT_FALSE
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -3,11 +3,14 @@
 Two distinct equal-length strings over {0,1,2} conflict when they share a
 position where both hold 2 and every position where they differ holds
 {0,2}. A set is conflict-free when no two of its members conflict.
+Strings with different sets of 1-positions differ at a position holding a
+1 and so never conflict; every check compares only within such a group.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from collections import deque
+from itertools import product
 from typing import Sequence
 
 from .errors import EqualStringsError, LengthMismatchError, TooLargeError
@@ -32,8 +35,13 @@ def _conflicts(x: str, y: str) -> bool:
     return shared
 
 
-def is_conflict_free(strings: Sequence[str]) -> bool:
-    """Whether no two strings in the collection conflict."""
+def _ones(s: str) -> str:
+    """The group key: `s` with every 2 read as 0."""
+    return s.replace("2", "0")
+
+
+def _first_conflict(strings: Sequence[str]) -> tuple[str, str] | None:
+    """The conflicting pair with the least input positions (i, j), or None."""
     strings = list(strings)
     for s in strings:
         validate_ternary(s)
@@ -41,7 +49,21 @@ def is_conflict_free(strings: Sequence[str]) -> bool:
         raise LengthMismatchError("strings must share one length")
     if len(set(strings)) != len(strings):
         raise EqualStringsError("strings must be pairwise distinct")
-    return not any(_conflicts(x, y) for x, y in combinations(strings, 2))
+    later: dict[str, deque[str]] = {}
+    for s in strings:
+        later.setdefault(_ones(s), deque()).append(s)
+    for x in strings:
+        group = later[_ones(x)]
+        group.popleft()  # x itself: strings are visited in input order
+        for y in group:
+            if _conflicts(x, y):
+                return x, y
+    return None
+
+
+def is_conflict_free(strings: Sequence[str]) -> bool:
+    """Whether no two strings in the collection conflict."""
+    return _first_conflict(strings) is None
 
 
 def canonical_conflict_free(n: int) -> list[str]:
@@ -84,20 +106,19 @@ def max_conflict_free_bruteforce(n: int) -> tuple[int, list[str]]:
     """Exact maximum conflict-free subset of the length-n ternary strings.
 
     Only n <= 4 is accepted. Strings are partitioned by the set of positions
-    holding digit 1 (strings in different parts never conflict, since some
-    differing position pairs a 1), and a maximum independent set in the
-    conflict graph is found inside each part. This decomposition is a search
-    optimization only; the per-part search stays exhaustive.
+    holding digit 1 (parts never conflict with each other), and a maximum
+    independent set in the conflict graph is found inside each part. This
+    decomposition is a search optimization only; the per-part search stays
+    exhaustive.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 4:
         raise TooLargeError(f"brute force capped at n=4, got {n}")
-    parts: dict[frozenset[int], list[str]] = {}
+    parts: dict[str, list[str]] = {}
     for digits in product("012", repeat=n):
         s = "".join(digits)
-        ones = frozenset(i for i, c in enumerate(s) if c == "1")
-        parts.setdefault(ones, []).append(s)
+        parts.setdefault(_ones(s), []).append(s)
     total = 0
     witness: list[str] = []
     for members in parts.values():

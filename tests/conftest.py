@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import random
+import sys
 
 import pytest
 
@@ -22,3 +23,11 @@ def connected_graph_from_seed(seed: int, max_n: int = 9):
     """Deterministic random connected graph; handy inside hypothesis tests."""
     rng = random.Random(seed)
     return random_connected_graph(rng, rng.randint(2, max_n), rng.uniform(0.2, 0.6))
+
+
+def stack_depth():
+    """Frames on the current call stack, for tests run under a low recursion limit."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth

@@ -77,7 +77,9 @@ def test_criterion_06_ladder_dimension():
 
 def test_criterion_07_perturbation_soundness():
     with criterion(7, "1000 randomized witness transfers", 60.0):
-        claims.claim_perturb_soundness(DEFAULT_SEED)
+        details = claims.claim_perturb_soundness(DEFAULT_SEED)
+    # the random draws depend on the safe-removal list, so this pins it too
+    assert details == "541 additions + 459 removals all verified"
 
 
 def test_criterion_08_removal_bound():

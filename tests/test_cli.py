@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -187,6 +188,16 @@ def test_verify_budget_zero_skips_expensive(capsys):
     skipped = [line for line in lines if line.startswith("SKIPPED")]
     passed = [line for line in lines if line.startswith("PASS")]
     assert skipped and passed  # cheap invariants still run
+
+
+def test_verify_skip_message_names_a_nonzero_cost(capsys):
+    code, payload = run_json(capsys, "verify", "--budget", "0.01", "--format", "json")
+    assert code == 0
+    skipped = [r["details"] for r in payload["reports"] if r["status"] == "SKIPPED"]
+    assert skipped
+    for details in skipped:
+        assert "~0.0s" not in details
+        assert float(re.search(r"~(\S+)s\)", details).group(1)) > 0
 
 
 def test_verify_budget_fits_every_claim(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graph_from_seed
+from conftest import connected_graph_from_seed, stack_depth
 from metricdim.errors import (
     BlockOverlapError,
     BudgetError,
@@ -138,19 +138,12 @@ def test_exact_errors():
         metric_dimension_exact(path_graph(300), time_budget=0.0)
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_exact_search_does_not_recurse():
     # dimension 39 would need 39 nested frames in a recursive search; the
     # reference cannot enumerate K40, so the expected answer is stated here
     graph = complete_graph(40)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 20)
+    sys.setrecursionlimit(stack_depth() + 20)
     try:
         result = metric_dimension_exact(graph)
     finally:

@@ -1,11 +1,13 @@
+from collections import deque
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricdim.errors import EqualStringsError, LengthMismatchError, TooLargeError
 from metricdim.ternary import (
+    _first_conflict,
     canonical_conflict_free,
     is_conflict_free,
     max_conflict_free_bruteforce,
@@ -60,6 +62,32 @@ def test_conflict_is_symmetric(x, y):
     assert is_conflict_free([x, y]) == (not _conflict_by_definition(x, y))
 
 
+@st.composite
+def grouped_strings(draw):
+    """Up to 12 distinct strings drawn from a few 1-patterns, in random order."""
+    length = draw(st.integers(2, 6))
+    top = 2**length - 1
+    strings = [
+        "".join("1" if ones >> i & 1 else "02"[twos >> i & 1] for i in range(length))
+        for ones in draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+        for twos in draw(st.lists(st.integers(0, top), min_size=2, max_size=5))
+    ]
+    return draw(st.permutations(list(dict.fromkeys(strings))[:12]))
+
+
+@given(grouped_strings())
+@example(["020", "200", "202", "022"])  # (0, 3) comes before (1, 2)
+@example(["2", "0"])
+@settings(max_examples=150)
+def test_first_conflict_matches_definition(strings):
+    expected = next(
+        ((x, y) for x, y in combinations(strings, 2) if _conflict_by_definition(x, y)),
+        None,
+    )
+    assert _first_conflict(strings) == expected
+    assert is_conflict_free(strings) == (expected is None)
+
+
 def test_is_conflict_free():
     assert is_conflict_free(["21", "12"])
     assert not is_conflict_free(["22", "20"])
@@ -89,8 +117,11 @@ def test_canonical_is_conflict_free(n):
 
 
 def _independent_mis(vertices, edges):
-    """Plain recursive maximum independent set, for cross-checking."""
-    vertices = sorted(vertices)
+    """Plain recursive maximum independent set, for cross-checking.
+
+    The maximum of a graph is the sum of its connected components' maxima,
+    so each component found by BFS is searched on its own.
+    """
     adjacency = {v: set() for v in vertices}
     for x, y in edges:
         adjacency[x].add(y)
@@ -105,10 +136,22 @@ def _independent_mis(vertices, edges):
         with_v = 1 + recurse([u for u in rest if u not in adjacency[v]])
         return max(without, with_v)
 
-    return recurse(vertices)
+    total, seen = 0, set()
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [start], deque([start])
+        while queue:
+            for u in adjacency[queue.popleft()] - seen:
+                seen.add(u)
+                component.append(u)
+                queue.append(u)
+        total += recurse(sorted(component))
+    return total
 
 
-@pytest.mark.parametrize("n,expected", [(1, 3), (2, 8), (3, 20)])
+@pytest.mark.parametrize("n,expected", [(1, 3), (2, 8), (3, 20), (4, 48)])
 def test_max_conflict_free_small(n, expected):
     size, witness = max_conflict_free_bruteforce(n)
     assert size == expected
