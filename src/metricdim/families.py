@@ -207,9 +207,7 @@ def _page_labels(x: str) -> tuple[str, str, str, str, str]:
     return (f"a_{x}", f"p_{x}_1", f"p_{x}_2", f"p_{x}_3", f"b_{x}")
 
 
-def nonbinary_graph(
-    spec: NonbinarySpec, *, check_conflicts: bool = True
-) -> tuple[Graph, tuple[str, ...], tuple[str, str]]:
+def nonbinary_graph(spec: NonbinarySpec) -> tuple[Graph, tuple[str, ...], tuple[str, str]]:
     """Page/ramp graph plus its witness (w0..wd) and the missing edge (c, w0).
 
     Each index string x gets a page: a 4-edge path from a_x to b_x, with a_x
@@ -217,9 +215,6 @@ def nonbinary_graph(
     joined to digit hub wj directly when x(j) = 1, or through a ramp
     midpoint r_x_j when x(j) = 2; x(j) = 0 makes no connection. The apex c
     is adjacent to every digit hub.
-
-    `check_conflicts=False` skips the conflict-freeness check; it exists so
-    tests can show the witness stops resolving on conflicting indexes.
     """
     for x in spec.strings:
         validate_ternary(x)
@@ -227,7 +222,7 @@ def nonbinary_graph(
             raise LengthMismatchError(f"string {x!r} does not have length {spec.d}")
     if len(set(spec.strings)) != len(spec.strings):
         raise ConflictingStringsError("page strings must be distinct")
-    if check_conflicts and not is_conflict_free(spec.strings):
+    if not is_conflict_free(spec.strings):
         raise ConflictingStringsError("page strings must be pairwise conflict-free")
     edges: list[tuple[str, str]] = []
     for x in spec.strings:

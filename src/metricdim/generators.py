@@ -12,24 +12,24 @@ from itertools import combinations
 from .graph import Graph, build_graph
 
 
-def path_graph(n: int, prefix: str = "p") -> Graph:
+def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("need at least one vertex")
-    labels = [f"{prefix}{i}" for i in range(n)]
+    labels = [f"p{i}" for i in range(n)]
     return build_graph(zip(labels, labels[1:]), isolated=labels)
 
 
-def cycle_graph(n: int, prefix: str = "c") -> Graph:
+def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("need at least three vertices")
-    labels = [f"{prefix}{i}" for i in range(n)]
+    labels = [f"c{i}" for i in range(n)]
     return build_graph(zip(labels, labels[1:] + labels[:1]))
 
 
-def complete_graph(n: int, prefix: str = "k") -> Graph:
+def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("need at least one vertex")
-    labels = [f"{prefix}{i}" for i in range(n)]
+    labels = [f"k{i}" for i in range(n)]
     return build_graph(combinations(labels, 2), isolated=labels)
 
 
@@ -55,22 +55,20 @@ def ladder_graph(n_cols: int) -> Graph:
     return build_graph(edges)
 
 
-def random_graph(rng: random.Random, n: int, edge_prob: float, prefix: str = "n") -> Graph:
+def random_graph(rng: random.Random, n: int, edge_prob: float) -> Graph:
     """Plain G(n, p); may be disconnected."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    labels = [f"{prefix}{i}" for i in range(n)]
+    labels = [f"n{i}" for i in range(n)]
     edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < edge_prob]
     return build_graph(edges, isolated=labels)
 
 
-def random_connected_graph(
-    rng: random.Random, n: int, extra_edge_prob: float, prefix: str = "n"
-) -> Graph:
+def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float) -> Graph:
     """Random spanning tree plus independent extra edges; always connected."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    labels = [f"{prefix}{i}" for i in range(n)]
+    labels = [f"n{i}" for i in range(n)]
     edges = [(labels[rng.randrange(i)], labels[i]) for i in range(1, n)]
     taken = {tuple(sorted(e)) for e in edges}
     for pair in combinations(labels, 2):

@@ -35,7 +35,13 @@ from .graph import Distance, Graph, is_connected, max_degree
 
 @dataclass(frozen=True)
 class DimensionResult:
-    """Outcome of an exact metric-dimension search."""
+    """Outcome of an exact metric-dimension search.
+
+    `exhaustive` is always True: a search that cannot finish raises
+    `BudgetError` instead of returning. It stays because the `dim` JSON
+    key of the same name is part of `metric-dim/1`, which perfbench's gate
+    reads, and perfbench's tests build this class from its four fields.
+    """
 
     dimension: int
     witness: tuple[str, ...]

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import stack_depth
-from metricdim.claims import _non_bridges
+from metricdim.claims import CLAIMS, _non_bridges
 from metricdim.families import KiteSpec, kite_graph
 from metricdim.generators import (
     complete_graph,
@@ -15,6 +15,7 @@ from metricdim.generators import (
     random_graph,
 )
 from metricdim.graph import add_edge, is_connected, remove_edge
+from test_acceptance import CRITERIA
 
 
 def _safe_removals(g):
@@ -63,3 +64,13 @@ def test_non_bridges_does_not_recurse():
         sys.setrecursionlimit(limit)
     assert path_result == []
     assert cycle_result == list(cycle.edges())
+
+
+def test_registry_order_and_acceptance_coverage():
+    ids = [claim.claim_id for claim in CLAIMS]
+    # unique and in claim-id order, the order `run_verify_suite` runs them in
+    assert ids == sorted(set(ids))
+    # every claim belongs to exactly one acceptance criterion, and no row
+    # names a claim the registry lacks
+    named = [cid for *_, claim_ids in CRITERIA for cid in claim_ids]
+    assert sorted(named) == ids

@@ -31,7 +31,12 @@ from metricdim.families import (
 )
 from metricdim.generators import complete_graph, cycle_graph
 from metricdim.graph import add_edge, bfs_distances, is_connected
-from metricdim.resolving import find_unresolved_pair, is_resolving, metric_code
+from metricdim.resolving import (
+    block_lower_bound_check,
+    find_unresolved_pair,
+    is_resolving,
+    metric_code,
+)
 from metricdim.ternary import canonical_conflict_free
 
 
@@ -208,10 +213,11 @@ def test_nonbinary_rejects_conflicts_and_mismatches():
         nonbinary_graph(NonbinarySpec(2, ["0", "00"]))
 
 
-def test_nonbinary_conflicting_pages_break_the_witness():
+def test_nonbinary_conflicting_pages_break_the_witness(monkeypatch):
     # bypassing the conflict check must surface as colliding ramp midpoints
+    monkeypatch.setattr("metricdim.families.is_conflict_free", lambda strings: True)
     spec = NonbinarySpec(2, ["20", "22"])
-    g, witness, _ = nonbinary_graph(spec, check_conflicts=False)
+    g, witness, _ = nonbinary_graph(spec)
     assert not is_resolving(g, witness)
     pair = find_unresolved_pair(g, witness)
     assert pair == ("r_20_1", "r_22_1")
@@ -223,6 +229,23 @@ def test_nonbinary_page_blocks():
     assert len(blocks) == len(reps) == 8
     assert all(rep in block for rep, block in zip(reps, blocks))
     assert all(len(block) == 5 for block in blocks)
+
+
+def test_pages_d3_with_edge_has_dimension_19():
+    # settled without search: the page blocks certify >= 19, a 19-set resolves
+    spec = NonbinarySpec(3, canonical_conflict_free(3))
+    graph, _, missing = nonbinary_graph(spec)
+    edited = add_edge(graph, *missing)
+    assert edited.vertex_count == 117
+    blocks, reps = nonbinary_page_blocks(spec)
+    assert len(blocks) == 20
+    assert block_lower_bound_check(edited, blocks, reps)
+    witness = (
+        "a_000 a_021 a_101 a_111 a_210 b_002 b_020 p_001_1 p_010_1 p_011_2 "
+        "p_012_2 p_100_1 p_102_1 p_110_2 p_120_1 p_121_3 p_200_3 p_201_3 p_211_3"
+    ).split()
+    assert len(set(witness)) == 19
+    assert is_resolving(edited, witness)
 
 
 def test_ramp_midpoint_code_cases():

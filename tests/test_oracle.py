@@ -50,9 +50,9 @@ def _ilp_dimension(graph):
     return round(result.fun)
 
 
-def _kite(branches):
+def _kite(branches, edge=True):
     graph, _, missing = families.kite_graph(families.KiteSpec(branches, 4))
-    return add_edge(graph, *missing)
+    return add_edge(graph, *missing) if edge else graph
 
 
 def _pages(d):
@@ -61,14 +61,23 @@ def _pages(d):
     return add_edge(graph, *missing)
 
 
+# ILP optima; kite-5 (5), kite-5+edge (9) and pages-d2+edge (7) are the
+# goldens that the kite.dimensions and nonbinary.exact-dim claims assert
 @pytest.mark.parametrize(
-    "build",
-    [lambda: _kite(5), lambda: _kite(6), lambda: _kite(7), lambda: _pages(2)],
-    ids=["kite-5+edge", "kite-6+edge", "kite-7+edge", "pages-d2+edge"],
+    "build, optimum",
+    [
+        pytest.param(lambda: _kite(5, edge=False), 5, id="kite-5"),
+        pytest.param(lambda: _kite(5), 9, id="kite-5+edge"),
+        pytest.param(lambda: _kite(6), 11, id="kite-6+edge"),
+        pytest.param(lambda: _kite(7), 13, id="kite-7+edge"),
+        pytest.param(lambda: _pages(2), 7, id="pages-d2+edge"),
+    ],
 )
-def test_exact_dimension_matches_ilp_optimum(build):
+def test_exact_dimension_matches_ilp_optimum(build, optimum):
     graph = build()
+    ilp = _ilp_dimension(graph)
+    assert ilp == optimum
     result = metric_dimension_exact(graph)
-    assert result.dimension == _ilp_dimension(graph)
+    assert result.dimension == ilp
     assert len(result.witness) == result.dimension
     assert is_resolving(graph, result.witness)
