@@ -4,7 +4,9 @@ Subcommands: gen, dim, check, perturb, family, ternary, verify. Graph
 files use the edge-list format; `-` reads from stdin. Exit codes: 0 ok,
 1 a verification came out false (or no witness within bounds), 2 usage
 error, 3 budget exceeded, 4 internal error (an unexpected exception, or a
-claim that crashed).
+claim that crashed). The parser is built on the first call to `main` and
+reused by every later call in the same process; handlers look up the
+library functions they call when they run.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import claims, families, generators, ternary
@@ -233,7 +236,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FALSE if "FAIL" in statuses else EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after that."""
     parser = argparse.ArgumentParser(
         prog="metricdim",
         description="Resolving sets, metric dimension, and edge perturbations.",

@@ -3,7 +3,8 @@
 `augment_addition` and `augment_removal` enlarge a witness so that it keeps
 resolving after one edge is added or removed; `apply_edit_sequence` chains
 them. Every distance feeding the addition formula is measured in the graph
-BEFORE the edit.
+BEFORE the edit, and landmark rows are read only until the witness covers
+every vertex.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ def augment_addition(
 
     For every landmark w, every vertex whose distance from w lies in the
     closed interval between d(w, u) and d(w, v) is pulled into the witness;
-    all distances come from the pre-edit graph. New members are appended
-    after the original witness in sorted label order.
+    all distances come from the pre-edit graph. Rows are read in witness
+    order only until the witness covers every vertex. New members are
+    appended after the original witness in sorted label order.
     """
     witness = tuple(witness)
     if u == v:
@@ -61,13 +63,17 @@ def augment_addition(
         raise NotResolvingError("witness does not resolve the input graph")
     verts = graph.vertices()
     iu, iv = graph.index_of(u), graph.index_of(v)
-    captured: set[str] = set()
+    members = set(witness)
+    outside = [i for i, x in enumerate(verts) if x not in members]
+    left = outside  # outside the witness and not captured yet
     for w in witness:
+        if not left:
+            break
         row = graph.distances(w)
         lo, hi = sorted((row[iu], row[iv]))
-        captured.update(x for x, dx in zip(verts, row) if lo <= dx <= hi)
-    appended = sorted(captured.difference(witness))
-    return witness + tuple(appended)
+        left = [i for i in left if not lo <= row[i] <= hi]
+    missed = set(left)
+    return witness + tuple(verts[i] for i in outside if i not in missed)
 
 
 def augment_removal(

@@ -60,28 +60,42 @@ def metric_code(
     return tuple(graph.distances(w)[i] for w in landmarks)
 
 
-def _code_table(graph: Graph, landmarks: Iterable[str]) -> list[tuple[Distance, ...]]:
-    """Code of every vertex w.r.t. `landmarks`, indexed like `graph.vertices()`."""
-    rows = [graph.distances(w) for w in landmarks]
-    return list(zip(*rows)) if rows else [()] * graph.vertex_count
+def _code_classes(graph: Graph, landmarks: Iterable[str]) -> list[int]:
+    """Class of every vertex w.r.t. `landmarks`, indexed like `graph.vertices()`.
+
+    Two vertices share a class iff they share a code; a class is named by
+    the least index in it. Every landmark is checked first; rows are then
+    read in landmark order, each splitting the classes by distance, only
+    until every vertex has a class of its own.
+    """
+    landmarks = tuple(landmarks)
+    for w in landmarks:
+        graph._require(w)
+    n = graph.vertex_count
+    classes = [0] * n
+    for w in landmarks:
+        ids: dict[tuple[int, Distance], int] = {}
+        classes = list(map(ids.setdefault, zip(classes, graph.distances(w)), range(n)))
+        if len(ids) == n:
+            break
+    return classes
 
 
 def is_resolving(graph: Graph, landmarks: Iterable[str]) -> bool:
     """Whether all vertices get pairwise distinct codes w.r.t. `landmarks`."""
-    codes = _code_table(graph, landmarks)
-    return len(set(codes)) == len(codes)
+    return len(set(_code_classes(graph, landmarks))) == graph.vertex_count
 
 
 def find_unresolved_pair(
     graph: Graph, landmarks: Iterable[str]
 ) -> tuple[str, str] | None:
     """Lexicographically least vertex pair sharing a code, or None."""
-    codes = _code_table(graph, landmarks)
-    groups: dict[tuple[Distance, ...], list[str]] = {}
-    for v, code in zip(graph.vertices(), codes):  # sorted, so groups stay sorted
-        groups.setdefault(code, []).append(v)
-    candidates = [(g[0], g[1]) for g in groups.values() if len(g) >= 2]
-    return min(candidates) if candidates else None
+    classes = _code_classes(graph, landmarks)
+    # (least index of the class, a later member): vertices are sorted, so
+    # the least such pair is the least unresolved label pair
+    pair = min(((c, j) for j, c in enumerate(classes) if c != j), default=None)
+    verts = graph.vertices()
+    return None if pair is None else (verts[pair[0]], verts[pair[1]])
 
 
 def _pair_separators(

@@ -234,3 +234,25 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch, path_file):
     monkeypatch.setattr(cli, "metric_dimension_exact", broken)
     assert main(["dim", path_file]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_main_reuses_its_parser_across_calls(capsys, monkeypatch, tmp_path, path_file):
+    edits = tmp_path / "edits.txt"
+    edits.write_text("add p0 p3\nremove p0 p1\n")
+    check = ("check", path_file, "p3")
+    perturb = ("perturb", path_file, "--witness", "p3", "p0", "--edits", str(edits))
+    assert main(["dim"]) == 2
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: metricdim")
+    first = {argv: run_cli(capsys, *argv) for argv in (check, perturb)}
+    assert first[check][0] == 1 and first[perturb][0] == 0
+    assert main(["check", path_file]) == 2  # a failed parse leaves the parser usable
+    for argv, result in first.items():
+        assert run_cli(capsys, *argv) == result
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    # handlers look the library up when they run, after the parser exists
+    monkeypatch.setattr(cli, "metric_dimension_exact", broken)
+    assert main(["dim", path_file]) == 4

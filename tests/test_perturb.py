@@ -15,7 +15,14 @@ from metricdim.errors import (
 )
 from metricdim.families import StripSpec, strip_canonical_set, strip_graph
 from metricdim.generators import cycle_graph, path_graph
-from metricdim.graph import add_edge, bfs_distances, build_graph, is_connected, remove_edge
+from metricdim.graph import (
+    Graph,
+    add_edge,
+    bfs_distances,
+    build_graph,
+    is_connected,
+    remove_edge,
+)
 from metricdim.perturb import (
     EditOp,
     EditStep,
@@ -60,6 +67,52 @@ def test_addition_measures_distances_in_unedited_graph():
     bigger = augment_addition(g, ("p0",), "p0", "p3")
     assert "p2" in bigger
     assert bigger == ("p0", "p1", "p2", "p3")
+
+
+def test_addition_reads_no_row_once_witness_covers_everything(monkeypatch):
+    g = path_graph(8)
+    verts = g.vertices()
+    sources = []
+    distances = Graph.distances
+
+    def counting_distances(graph, source):
+        sources.append(source)
+        return distances(graph, source)
+
+    monkeypatch.setattr(Graph, "distances", counting_distances)
+    assert augment_addition(g, verts, "p0", "p3") == verts
+    # p0's row answers both preconditions; the transfer itself reads none
+    assert set(sources) == {"p0"}
+
+
+@given(st.integers(0, 100_000), st.sampled_from(["random", "everything", "saturated"]))
+@settings(max_examples=90, deadline=None)
+def test_addition_matches_formula(seed, shape):
+    rng = random.Random(seed)
+    g = connected_graph_from_seed(seed, max_n=10)
+    verts = list(g.vertices())
+    non_edges = [
+        (a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if not g.has_edge(a, b)
+    ]
+    if not non_edges:
+        return
+    u, v = rng.choice(non_edges)
+    rest = verts[:]
+    rng.shuffle(rest)
+    if shape == "everything":
+        witness = rest
+    else:
+        witness = rest[: rng.randint(1, len(rest))]
+        if shape == "saturated":
+            # every vertex outside the first landmark's interval joins the
+            # witness, so that landmark alone captures all the others
+            first = witness[0]
+            dist = bfs_distances(g, first)
+            lo, hi = sorted((dist[u], dist[v]))
+            witness = [first] + [x for x in rest if not lo <= dist[x] <= hi and x != first]
+        while not is_resolving(g, witness):
+            witness.append(next(x for x in rest if x not in witness))
+    assert augment_addition(g, witness, u, v) == _formula_witness(g, witness, u, v)
 
 
 def test_addition_errors(abc_path):

@@ -23,7 +23,7 @@ from metricdim.generators import (
     path_graph,
     random_connected_graph,
 )
-from metricdim.graph import build_graph
+from metricdim.graph import Graph, bfs_distances, build_graph
 from metricdim.resolving import (
     block_lower_bound_check,
     find_unresolved_pair,
@@ -67,6 +67,28 @@ def test_unprimed_strip_prefix_witness_fails():
 def test_full_vertex_set_resolves(abc_path):
     assert is_resolving(abc_path, abc_path.vertices())
     assert find_unresolved_pair(abc_path, abc_path.vertices()) is None
+
+
+def test_unknown_landmark_after_resolving_prefix_raises():
+    # p0 alone resolves the path; the later landmark must still be checked
+    g = path_graph(5)
+    with pytest.raises(UnknownVertexError):
+        is_resolving(g, ["p0", "zz"])
+    with pytest.raises(UnknownVertexError):
+        find_unresolved_pair(g, ["p0", "zz"])
+
+
+def test_check_stops_reading_rows_once_resolved(monkeypatch):
+    sources = []
+    distances = Graph.distances
+
+    def counting_distances(graph, source):
+        sources.append(source)
+        return distances(graph, source)
+
+    monkeypatch.setattr(Graph, "distances", counting_distances)
+    assert is_resolving(path_graph(50), ["p0", "p10", "p20"])
+    assert sources == ["p0"]
 
 
 def test_resolving_with_unreachable_codes():
@@ -182,12 +204,23 @@ def test_unresolved_pair_agrees_with_is_resolving(seed):
     g = connected_graph_from_seed(seed)
     verts = list(g.vertices())
     witness = rng.sample(verts, rng.randint(1, len(verts)))
-    pair = find_unresolved_pair(g, witness)
-    assert is_resolving(g, witness) == (pair is None)
-    if pair is not None:
-        u, v = pair
-        assert u < v
-        assert metric_code(g, witness, u) == metric_code(g, witness, v)
+    # the first landmark alone usually leaves several pairs unresolved
+    for landmarks in (witness, witness[:1]):
+        pair = find_unresolved_pair(g, landmarks)
+        assert is_resolving(g, landmarks) == (pair is None)
+        if pair is not None:
+            u, v = pair
+            assert u < v
+            assert metric_code(g, landmarks, u) == metric_code(g, landmarks, v)
+        # brute force over all pairs, codes read straight from BFS
+        dist = [bfs_distances(g, w) for w in landmarks]
+        shared = [
+            (a, b)
+            for i, a in enumerate(verts)
+            for b in verts[i + 1 :]
+            if all(d[a] == d[b] for d in dist)
+        ]
+        assert pair == min(shared, default=None)
 
 
 def test_block_bound_vacuous_single_block(abc_path):
