@@ -199,7 +199,7 @@ def _cmd_ternary(args: argparse.Namespace) -> int:
         return EXIT_OK
     # check
     strings = _load_strings(args.file)
-    pair = ternary._first_conflict(strings)
+    pair = ternary.first_conflict(strings)
     first_conflict = None if pair is None else list(pair)
     _emit_json({"conflict_free": pair is None, "count": len(strings), "first_conflict": first_conflict})
     return EXIT_OK if pair is None else EXIT_FALSE

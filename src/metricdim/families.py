@@ -194,9 +194,8 @@ class NonbinarySpec:
     d: int
     strings: tuple[str, ...]
 
-    def __init__(self, d: int, strings: Iterable[str]) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "strings", tuple(strings))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "strings", tuple(self.strings))
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")
         if not self.strings:

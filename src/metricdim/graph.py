@@ -1,17 +1,18 @@
 """Undirected simple graphs over string labels.
 
 A graph is frozen once built: edits return new values, so a graph and its
-edited variant can be held side by side. Adjacency lists are kept sorted,
-which makes every iteration order (and everything derived from one)
-deterministic. Labels are checked once, when a graph is built; an edit keeps
-its parent's vertex set, so it reuses the parent's vertex index and checks
-nothing again.
+edited variant can be held side by side. Its edges are stored once, as each
+vertex's sorted neighbour indices into the sorted labels. Index order is
+label order, so every label view (neighbours, edges) is read off those
+integers already sorted, which makes every iteration order (and everything
+derived from one) deterministic. Labels are checked once, when a graph is
+built; an edit keeps its parent's vertex set, so it reuses the parent's
+labels and index and checks nothing again.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import (
     EdgeExistsError,
@@ -55,87 +56,66 @@ def validate_label(label: object) -> str:
 class Graph:
     """Immutable undirected simple graph.
 
-    Besides the sorted label adjacency, a graph keeps the same adjacency as
-    vertex indices (positions in `vertices()`), and `distances(source)` runs
-    its BFS over those integers the first time a source is asked for, then
-    caches the row. Edits build a new graph with an empty cache, so a row
-    never outlives the edges it was measured on.
+    Not a checking constructor: graphs come from `build_graph` (or the
+    parser, generators and families built on it) and from the edits.
+    Neighbours are held only as vertex indices (positions in `vertices()`);
+    the label views are derived from them. `distances(source)` runs its BFS
+    over those integers the first time a source is asked for, then caches
+    the row. Edits build a new graph with an empty cache, so a row never
+    outlives the edges it was measured on.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_index", "_nbrs", "_rows")
+    __slots__ = ("_index", "_nbrs", "_rows", "_verts")
 
-    def __init__(self, adjacency: Mapping[str, Iterable[str]]) -> None:
-        staged: dict[str, set[str]] = {}
-        for label, neighbors in adjacency.items():
-            validate_label(label)
-            staged[label] = set(neighbors)
-        for v, neighbors in staged.items():
-            if v in neighbors:
-                raise SelfLoopError(f"self-loop at {v!r}")
-            for u in neighbors:
-                if u not in staged or v not in staged[u]:
-                    raise ValueError(f"asymmetric adjacency between {v!r} and {u!r}")
-        self._fill({v: tuple(sorted(staged[v])) for v in sorted(staged)}, None)
+    def __init__(
+        self, verts: tuple[str, ...], index: dict[str, int], nbrs: tuple[tuple[int, ...], ...]
+    ) -> None:
+        """Wrap fields that are already valid, without checking them.
 
-    @classmethod
-    def _trusted(cls, adj: dict[str, tuple[str, ...]], index: dict[str, int] | None = None) -> Graph:
-        """Wrap adjacency that is already valid, without checking it.
-
-        `adj` must be label-sorted, with sorted, symmetric, loop-free lists
-        over checked labels. An edit passes its parent's `index`, since the
-        vertex set is the same.
+        `verts` are sorted, checked labels and `index` maps each to its
+        position; `nbrs` holds each vertex's sorted, symmetric, loop-free
+        neighbour indices.
         """
-        graph = cls.__new__(cls)
-        graph._fill(adj, index)
-        return graph
-
-    def _fill(self, adj: dict[str, tuple[str, ...]], index: dict[str, int] | None) -> None:
-        self._adj = adj
-        self._index = index = {v: i for i, v in enumerate(adj)} if index is None else index
-        self._nbrs = tuple(tuple(map(index.__getitem__, ns)) for ns in adj.values())
-        self._edge_count = sum(map(len, self._nbrs)) // 2
+        self._verts = verts
+        self._index = index
+        self._nbrs = nbrs
         self._rows: dict[str, tuple[Distance, ...]] = {}
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return len(self._verts)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
-
-    @property
-    def adjacency(self) -> Mapping[str, tuple[str, ...]]:
-        """Read-only view of the sorted adjacency lists."""
-        return MappingProxyType(self._adj)
+        return sum(map(len, self._nbrs)) // 2
 
     def vertices(self) -> tuple[str, ...]:
-        return tuple(self._adj)
+        return self._verts
 
     def neighbors(self, vertex: str) -> tuple[str, ...]:
-        self._require(vertex)
-        return self._adj[vertex]
+        return tuple(map(self._verts.__getitem__, self._nbrs[self.index_of(vertex)]))
 
     def degree(self, vertex: str) -> int:
-        self._require(vertex)
-        return len(self._adj[vertex])
+        return len(self._nbrs[self.index_of(vertex)])
 
     def has_edge(self, u: str, v: str) -> bool:
-        self._require(u)
-        self._require(v)
-        return v in self._adj[u]
+        i = self.index_of(u)
+        return self.index_of(v) in self._nbrs[i]
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Edges as (smaller, larger) label pairs, in lexicographic order."""
-        for v, neighbors in self._adj.items():
-            for u in neighbors:
-                if v < u:
-                    yield (v, u)
+        verts = self._verts
+        for i, neighbors in enumerate(self._nbrs):
+            for j in neighbors:
+                if i < j:
+                    yield (verts[i], verts[j])
 
     def index_of(self, vertex: str) -> int:
         """Position of `vertex` in `vertices()` and in every distance row."""
-        self._require(vertex)
-        return self._index[vertex]
+        i = self._index.get(vertex)
+        if i is None:
+            raise UnknownVertexError(f"no vertex {vertex!r}")
+        return i
 
     def distances(self, source: str) -> tuple[Distance, ...]:
         """BFS distances from `source`, indexed like `vertices()`.
@@ -159,17 +139,13 @@ class Graph:
             row = self._rows[source] = tuple(dist)
         return row
 
-    def _require(self, vertex: str) -> None:
-        if vertex not in self._adj:
-            raise UnknownVertexError(f"no vertex {vertex!r}")
-
     def __contains__(self, label: object) -> bool:
-        return label in self._adj
+        return label in self._index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return self._verts == other._verts and self._nbrs == other._nbrs
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -200,7 +176,10 @@ def build_graph(
         staged.setdefault(v, set()).add(u)
     for label in staged:
         validate_label(label)
-    return Graph._trusted({v: tuple(sorted(staged[v])) for v in sorted(staged)})
+    verts = tuple(sorted(staged))
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = tuple(tuple(sorted(map(index.__getitem__, staged[v]))) for v in verts)
+    return Graph(verts, index, nbrs)
 
 
 def add_edge(graph: Graph, u: str, v: str) -> Graph:
@@ -209,10 +188,11 @@ def add_edge(graph: Graph, u: str, v: str) -> Graph:
         raise SelfLoopError(f"self-loop at {u!r}")
     if graph.has_edge(u, v):
         raise EdgeExistsError(f"edge {u!r} -- {v!r} already present")
-    adj = dict(graph._adj)
-    adj[u] = tuple(sorted(adj[u] + (v,)))
-    adj[v] = tuple(sorted(adj[v] + (u,)))
-    return Graph._trusted(adj, graph._index)
+    i, j = graph._index[u], graph._index[v]
+    nbrs = list(graph._nbrs)
+    nbrs[i] = tuple(sorted(nbrs[i] + (j,)))
+    nbrs[j] = tuple(sorted(nbrs[j] + (i,)))
+    return Graph(graph._verts, graph._index, tuple(nbrs))
 
 
 def remove_edge(graph: Graph, u: str, v: str) -> Graph:
@@ -221,10 +201,11 @@ def remove_edge(graph: Graph, u: str, v: str) -> Graph:
         raise SelfLoopError(f"self-loop at {u!r}")
     if not graph.has_edge(u, v):
         raise EdgeMissingError(f"edge {u!r} -- {v!r} not present")
-    adj = dict(graph._adj)
-    adj[u] = tuple(x for x in adj[u] if x != v)
-    adj[v] = tuple(x for x in adj[v] if x != u)
-    return Graph._trusted(adj, graph._index)
+    i, j = graph._index[u], graph._index[v]
+    nbrs = list(graph._nbrs)
+    nbrs[i] = tuple(x for x in nbrs[i] if x != j)
+    nbrs[j] = tuple(x for x in nbrs[j] if x != i)
+    return Graph(graph._verts, graph._index, tuple(nbrs))
 
 
 def bfs_distances(graph: Graph, source: str) -> dict[str, Distance]:
@@ -242,9 +223,7 @@ def is_connected(graph: Graph) -> bool:
 
 
 def max_degree(graph: Graph) -> int:
-    if graph.vertex_count == 0:
-        return 0
-    return max(len(ns) for ns in graph.adjacency.values())
+    return max(map(len, graph._nbrs), default=0)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -56,7 +56,7 @@ def augment_addition(
     if graph.has_edge(u, v):
         raise EdgeExistsError(f"edge {u!r} -- {v!r} already present")
     for w in witness:
-        graph._require(w)
+        graph.index_of(w)
     if not is_connected(graph):
         raise DisconnectedError("witness transfer requires a connected graph")
     if not is_resolving(graph, witness):

@@ -70,7 +70,7 @@ def _code_classes(graph: Graph, landmarks: Iterable[str]) -> list[int]:
     """
     landmarks = tuple(landmarks)
     for w in landmarks:
-        graph._require(w)
+        graph.index_of(w)
     n = graph.vertex_count
     classes = [0] * n
     for w in landmarks:
@@ -283,14 +283,14 @@ def block_lower_bound_check(
     frozen = [frozenset(b) for b in blocks]
     for block in frozen:
         for v in block:
-            graph._require(v)
+            graph.index_of(v)
     for a, b in combinations(frozen, 2):
         if a & b:
             raise BlockOverlapError(f"blocks share vertices: {sorted(a & b)}")
     if len(reps) != len(frozen):
         raise ValueError("need exactly one representative per block")
     for rep, block in zip(reps, frozen):
-        graph._require(rep)
+        graph.index_of(rep)
         if rep not in block:
             raise ValueError(f"representative {rep!r} not in its block")
     verts = graph.vertices()

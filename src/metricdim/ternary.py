@@ -40,7 +40,7 @@ def _ones(s: str) -> str:
     return s.replace("2", "0")
 
 
-def _first_conflict(strings: Sequence[str]) -> tuple[str, str] | None:
+def first_conflict(strings: Sequence[str]) -> tuple[str, str] | None:
     """The conflicting pair with the least input positions (i, j), or None."""
     strings = list(strings)
     for s in strings:
@@ -63,7 +63,7 @@ def _first_conflict(strings: Sequence[str]) -> tuple[str, str] | None:
 
 def is_conflict_free(strings: Sequence[str]) -> bool:
     """Whether no two strings in the collection conflict."""
-    return _first_conflict(strings) is None
+    return first_conflict(strings) is None
 
 
 def canonical_conflict_free(n: int) -> list[str]:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from metricdim.errors import EqualStringsError, LengthMismatchError, TooLargeError
 from metricdim.ternary import (
-    _first_conflict,
     canonical_conflict_free,
+    first_conflict,
     is_conflict_free,
     max_conflict_free_bruteforce,
 )
@@ -84,7 +84,7 @@ def test_first_conflict_matches_definition(strings):
         ((x, y) for x, y in combinations(strings, 2) if _conflict_by_definition(x, y)),
         None,
     )
-    assert _first_conflict(strings) == expected
+    assert first_conflict(strings) == expected
     assert is_conflict_free(strings) == (expected is None)
 
 
