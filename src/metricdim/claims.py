@@ -37,6 +37,8 @@ class ClaimFailure(Exception):
 
 @dataclass(frozen=True)
 class ClaimReport:
+    """One claim's outcome; `verify --format json` prints these fields."""
+
     claim_id: str
     status: str  # PASS | FAIL | SKIPPED | ERROR
     details: str
@@ -242,13 +244,9 @@ def claim_perturb_soundness(seed: int) -> str:
             if not g.has_edge(a, b)
         ]
         safe_removals = _non_bridges(g)
-        do_add = rng.random() < 0.5
+        do_add = (rng.random() < 0.5 and bool(non_edges)) or not safe_removals
         if do_add and not non_edges:
-            do_add = False
-        if not do_add and not safe_removals:
-            do_add = True
-            if not non_edges:
-                continue
+            continue
         if do_add:
             u, v = rng.choice(non_edges)
             bigger = augment_addition(g, witness, u, v)

@@ -4,9 +4,13 @@ Subcommands: gen, dim, check, perturb, family, ternary, verify. Graph
 files use the edge-list format; `-` reads from stdin. Exit codes: 0 ok,
 1 a verification came out false (or no witness within bounds), 2 usage
 error, 3 budget exceeded, 4 internal error (an unexpected exception, or a
-claim that crashed). The parser is built on the first call to `main` and
-reused by every later call in the same process; handlers look up the
-library functions they call when they run.
+claim that crashed). Payloads that mirror a library record are written
+from it: the `dim` JSON is a `DimensionResult`'s fields, a `perturb`
+trace entry is an `EditStep`'s fields plus `witness_size` and `verified`,
+and a `verify` JSON report is a `ClaimReport`'s fields. The parser is
+built on the first call to `main` and reused by every later call in the
+same process; handlers look up the library functions they call when they
+run.
 """
 
 from __future__ import annotations
@@ -59,19 +63,14 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
 
 
-def _emit_graph(graph: Graph, fmt: str, header: list[str] | None = None, extra: dict | None = None) -> None:
+def _emit_graph(graph: Graph, fmt: str, header: list[str], extra: dict) -> None:
     if fmt == "dot":
         print(to_dot(graph), end="")
     elif fmt == "json":
-        payload = {
-            "vertices": list(graph.vertices()),
-            "edges": [list(e) for e in graph.edges()],
-        }
-        if extra:
-            payload.update(extra)
-        _emit_json(payload)
+        edges = [list(e) for e in graph.edges()]
+        _emit_json({"vertices": list(graph.vertices()), "edges": edges, **extra})
     else:
-        for line in header or []:
+        for line in header:
             print(f"# {line}")
         print(format_edge_list(graph), end="")
 
@@ -82,21 +81,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         graph = generators.random_connected_graph(rng, args.n, args.edge_prob)
     else:
         graph = generators.random_graph(rng, args.n, args.edge_prob)
-    _emit_graph(graph, args.format, header=[f"random n={args.n} p={args.edge_prob} seed={args.seed}"])
+    _emit_graph(graph, args.format, [f"random n={args.n} p={args.edge_prob} seed={args.seed}"], {})
     return EXIT_OK
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     result = metric_dimension_exact(graph, args.max_k, time_budget=args.budget)
-    _emit_json(
-        {
-            "dimension": result.dimension,
-            "witness": list(result.witness),
-            "exhaustive": result.exhaustive,
-            "nodes_explored": result.nodes_explored,
-        }
-    )
+    _emit_json(vars(result))
     return EXIT_OK
 
 
@@ -117,30 +109,19 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     steps = parse_edit_sequence(_read_text(args.edits))
     trajectory = apply_edit_sequence(graph, args.witness, steps)
-    trace = []
-    ok = True
-    for step, (edited, witness) in zip(steps, trajectory[1:]):
-        verified = is_resolving(edited, witness)
-        ok = ok and verified
-        trace.append(
-            {
-                "op": step.op.value,
-                "u": step.u,
-                "v": step.v,
-                "witness_size": len(witness),
-                "verified": verified,
-            }
-        )
+    trace = [
+        {**vars(step), "witness_size": len(witness), "verified": is_resolving(edited, witness)}
+        for step, (edited, witness) in zip(steps, trajectory[1:])
+    ]
     _emit_json({"trace": trace})
-    return EXIT_OK if ok else EXIT_FALSE
+    return EXIT_OK if all(entry["verified"] for entry in trace) else EXIT_FALSE
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    extra: dict = {}
-    header: list[str] = []
+    # `built` is the builder's result: the graph, then a witness and the
+    # missing edge for the families whose builders return them
     if args.family == "strip":
-        spec = families.StripSpec(args.i, args.primed, args.cols)
-        graph = families.strip_graph(spec)
+        built = (families.strip_graph(families.StripSpec(args.i, args.primed, args.cols)),)
         header = [f"strip i={args.i} primed={args.primed} cols={args.cols}"]
         extra = {"family": "strip", "i": args.i, "primed": args.primed, "cols": args.cols}
     elif args.family == "nonbinary":
@@ -150,41 +131,24 @@ def _cmd_family(args: argparse.Namespace) -> int:
             strings = _load_strings(args.strings)
         else:
             raise ValueError("nonbinary needs --canonical or --strings FILE")
-        spec = families.NonbinarySpec(args.d, strings)
-        graph, witness, missing = families.nonbinary_graph(spec)
-        header = [
-            f"nonbinary d={args.d} pages={len(strings)}",
-            f"witness: {' '.join(witness)}",
-            f"missing-edge: {missing[0]} {missing[1]}",
-        ]
-        extra = {
-            "family": "nonbinary",
-            "d": args.d,
-            "strings": list(strings),
-            "witness": list(witness),
-            "missing_edge": list(missing),
-        }
+        built = families.nonbinary_graph(families.NonbinarySpec(args.d, strings))
+        header = [f"nonbinary d={args.d} pages={len(strings)}"]
+        extra = {"family": "nonbinary", "d": args.d, "strings": list(strings)}
     elif args.family == "kite":
-        spec = families.KiteSpec(args.branches, args.tail_len)
-        graph, witness, missing = families.kite_graph(spec)
-        header = [
-            f"kite branches={args.branches} tail-len={args.tail_len}",
-            f"witness: {' '.join(witness)}",
-            f"missing-edge: {missing[0]} {missing[1]}",
-        ]
-        extra = {
-            "family": "kite",
-            "branches": args.branches,
-            "tail_len": args.tail_len,
-            "witness": list(witness),
-            "missing_edge": list(missing),
-        }
+        built = families.kite_graph(families.KiteSpec(args.branches, args.tail_len))
+        header = [f"kite branches={args.branches} tail-len={args.tail_len}"]
+        extra = {"family": "kite", "branches": args.branches, "tail_len": args.tail_len}
     else:  # tail
         base = _load_graph(args.base)
-        graph = families.tail_graph(families.TailSpec(base, args.attach, args.len))
+        built = (families.tail_graph(families.TailSpec(base, args.attach, args.len)),)
         header = [f"tail base={args.base} attach={args.attach} len={args.len}"]
         extra = {"family": "tail", "attach": args.attach, "length": args.len}
-    _emit_graph(graph, args.format, header=header, extra=extra)
+    graph, *marked = built
+    if marked:
+        witness, missing = marked
+        header += [f"witness: {' '.join(witness)}", f"missing-edge: {missing[0]} {missing[1]}"]
+        extra.update(witness=list(witness), missing_edge=list(missing))
+    _emit_graph(graph, args.format, header, extra)
     return EXIT_OK
 
 
@@ -208,19 +172,7 @@ def _cmd_ternary(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = claims.run_verify_suite(args.filter, args.budget, args.seed)
     if args.format == "json":
-        _emit_json(
-            {
-                "reports": [
-                    {
-                        "claim_id": r.claim_id,
-                        "status": r.status,
-                        "details": r.details,
-                        "elapsed": round(r.elapsed, 3),
-                    }
-                    for r in reports
-                ]
-            }
-        )
+        _emit_json({"reports": [{**vars(r), "elapsed": round(r.elapsed, 3)} for r in reports]})
     else:
         for r in reports:
             print(f"{r.status:<8}{r.claim_id:<26}{r.elapsed:>8.2f}s  {r.details}")

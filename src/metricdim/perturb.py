@@ -31,6 +31,8 @@ class EditOp(str, Enum):
 
 @dataclass(frozen=True)
 class EditStep:
+    """One edit; a `perturb` trace entry starts with these fields."""
+
     op: EditOp
     u: str
     v: str

@@ -37,6 +37,7 @@ from .graph import Distance, Graph, is_connected, max_degree
 class DimensionResult:
     """Outcome of an exact metric-dimension search.
 
+    The `dim` command prints these fields, in this order, as its JSON.
     `exhaustive` is always True: a search that cannot finish raises
     `BudgetError` instead of returning. It stays because the `dim` JSON
     key of the same name is part of `metric-dim/1`, which perfbench's gate
@@ -98,22 +99,23 @@ def find_unresolved_pair(
     return None if pair is None else (verts[pair[0]], verts[pair[1]])
 
 
-def _pair_separators(
-    rows: Sequence[Sequence[int]], tick: Callable[[], None]
-) -> list[int]:
-    """Separator set of every vertex pair, as a vertex bitmask.
+def _pair_separators(graph: Graph, tick: Callable[[], None]) -> list[int]:
+    """Distinct separator sets of the vertex pairs, as vertex bitmasks.
 
-    Pair (i, j), i < j, sits at index offset[i] + j; bit w of its entry is
-    set iff vertex w separates i and j. Every pair starts at all vertices and
-    each source clears its own bit on the pairs it sees at equal distance, so
-    the cost is the number of equal-distance pairs. `tick` is called before
-    each row.
+    Bit w of a set is set iff vertex w separates the pair. Pairs with equal
+    sets need covering only once, so each set is listed once, in the order
+    of its first pair (i, j), i < j. `tick` is called before each distance
+    row is read. Each source marks itself on the pairs it sees at equal
+    distance, so the cost is the number of equal-distance pairs; marking
+    the non-separators keeps most entries small, and only the distinct
+    marked sets are complemented.
     """
-    n = len(rows)
+    n = graph.vertex_count
     offset = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
-    seps = [(1 << n) - 1] * (n * (n - 1) // 2)
-    for w, row in enumerate(rows):
+    blind = [0] * (n * (n - 1) // 2)  # non-separators of pair (i, j) at offset[i] + j
+    for w, source in enumerate(graph.vertices()):
         tick()
+        row = graph.distances(source)
         bit = 1 << w
         levels: list[list[int]] = [[] for _ in range(max(row) + 1)]
         for i, d in enumerate(row):
@@ -124,8 +126,9 @@ def _pair_separators(
             for pos, i in enumerate(group):
                 base = offset[i]
                 for j in group[pos + 1 :]:
-                    seps[base + j] ^= bit
-    return seps
+                    blind[base + j] |= bit
+    everyone = (1 << n) - 1
+    return [everyone ^ mask for mask in dict.fromkeys(blind)]
 
 
 def _min_size_from_degree(delta: int) -> int:
@@ -173,12 +176,7 @@ def metric_dimension_exact(
         raise ValueError("max_k must be at least 1")
     if n == 1:
         return DimensionResult(1, verts, True, 0)
-    rows = []
-    for v in verts:
-        check_time()
-        rows.append(graph.distances(v))
-    # Pairs with equal separator sets need covering only once.
-    pairs = list(dict.fromkeys(_pair_separators(rows, check_time)))
+    pairs = _pair_separators(graph, check_time)
 
     nodes = 0
 
@@ -246,7 +244,7 @@ def metric_dimension_exact(
     return DimensionResult(k, tuple(verts[i] for i in picked), True, nodes)
 
 
-def metric_dimension_reference(graph: Graph, max_k: int | None = None) -> DimensionResult:
+def metric_dimension_reference(graph: Graph) -> DimensionResult:
     """Unpruned exhaustive baseline: try every subset by size, then lex order.
 
     Audit oracle for `metric_dimension_exact`; deliberately shares nothing
@@ -258,15 +256,13 @@ def metric_dimension_reference(graph: Graph, max_k: int | None = None) -> Dimens
     n = len(verts)
     if n == 0:
         return DimensionResult(0, (), True, 0)
-    if max_k is None:
-        max_k = max(1, n - 1)
     checked = 0
-    for k in range(1, min(max_k, n) + 1):
+    for k in range(1, n + 1):
         for combo in combinations(verts, k):
             checked += 1
             if is_resolving(graph, combo):
                 return DimensionResult(k, combo, True, checked)
-    raise ExceededError(f"no resolving set of size <= {max_k}")
+    raise AssertionError("the whole vertex set always resolves")
 
 
 def block_lower_bound_check(

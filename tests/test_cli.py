@@ -256,3 +256,93 @@ def test_main_reuses_its_parser_across_calls(capsys, monkeypatch, tmp_path, path
     # handlers look the library up when they run, after the parser exists
     monkeypatch.setattr(cli, "metric_dimension_exact", broken)
     assert main(["dim", path_file]) == 4
+
+
+KITE_3_2_EDGES = """\
+a1 t1_1
+a1 v
+a2 t2_1
+a2 v
+a3 t3_1
+a3 v
+d1_0 h1
+d1_0 m1
+d1_1 h1
+d1_1 m1
+d2_0 h2
+d2_0 m2
+d2_1 h2
+d2_1 m2
+d3_0 h3
+d3_0 m3
+d3_1 h3
+d3_1 m3
+h1 u
+h2 u
+h3 u
+m1 t1_1
+m2 t2_1
+m3 t3_1
+"""
+
+
+def test_payload_bytes(capsys, tmp_path, path_file):
+    """Exact stdout, key order and layout of the record-shaped payloads."""
+    assert run_cli(capsys, "dim", path_file) == (0, """\
+{
+  "schema": "metric-dim/1",
+  "dimension": 1,
+  "witness": [
+    "p0"
+  ],
+  "exhaustive": true,
+  "nodes_explored": 2
+}
+""")
+    graph_file = tmp_path / "c6.edges"
+    graph_file.write_text("c0 c1\nc1 c2\nc2 c3\nc3 c4\nc4 c5\nc5 c0\n")
+    edits = tmp_path / "edits.txt"
+    edits.write_text("add c0 c3\nremove c0 c3\n")
+    entry = """\
+    {{
+      "op": "{op}",
+      "u": "c0",
+      "v": "c3",
+      "witness_size": 6,
+      "verified": true
+    }}"""
+    assert run_cli(
+        capsys, "perturb", str(graph_file), "--witness", "c0", "c1", "--edits", str(edits)
+    ) == (0, '{\n  "schema": "metric-dim/1",\n  "trace": [\n'
+          + entry.format(op="add") + ",\n" + entry.format(op="remove") + "\n  ]\n}\n")
+    code, out = run_cli(capsys, "verify", "--filter", "strip.sequences", "--format", "json")
+    assert (code, re.sub(r'"elapsed": \d+\.\d+\n', '"elapsed": ELAPSED\n', out)) == (0, """\
+{
+  "schema": "metric-dim/1",
+  "reports": [
+    {
+      "claim_id": "strip.sequences",
+      "status": "PASS",
+      "details": "28 sequence values match",
+      "elapsed": ELAPSED
+    }
+  ]
+}
+""")
+    kite = ("family", "kite", "--branches", "3", "--tail-len", "2")
+    assert run_cli(capsys, *kite) == (0, (
+        "# kite branches=3 tail-len=2\n# witness: d1_0 d2_0 d3_0\n# missing-edge: u v\n"
+        + KITE_3_2_EDGES
+    ))
+    edges = [line.split() for line in KITE_3_2_EDGES.splitlines()]
+    payload = {
+        "schema": "metric-dim/1",
+        "vertices": sorted({v for edge in edges for v in edge}),
+        "edges": edges,
+        "family": "kite",
+        "branches": 3,
+        "tail_len": 2,
+        "witness": ["d1_0", "d2_0", "d3_0"],
+        "missing_edge": ["u", "v"],
+    }
+    assert run_cli(capsys, *kite, "--format", "json") == (0, json.dumps(payload, indent=2) + "\n")
