@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import families, generators, ternary
-from .graph import Graph, add_edge, bfs_distances, max_degree, remove_edge
+from .graph import Distance, Graph, add_edge, bfs_distances, max_degree, remove_edge
 from .perturb import augment_addition, augment_removal
 from .resolving import (
     block_lower_bound_check,
@@ -189,12 +189,25 @@ def claim_ladder_dimension(seed: int) -> str:
 
 
 def _random_resolving_witness(rng: random.Random, g: Graph) -> list[str]:
+    """A random sample of `g`'s vertices, grown in random order until it resolves.
+
+    Vertex classes are refined by one landmark row at a time, as
+    `is_resolving` does, so each vertex added costs only its own row.
+    """
     verts = list(g.vertices())
-    witness = rng.sample(verts, rng.randint(1, max(1, len(verts) // 3)))
+    n = len(verts)
+    witness = rng.sample(verts, rng.randint(1, max(1, n // 3)))
     missing = [v for v in verts if v not in witness]
     rng.shuffle(missing)
-    while not is_resolving(g, witness):
-        witness.append(missing.pop())
+    classes = [0] * n
+    ids: dict[tuple[int, Distance], int] = {}
+    read = 0
+    while len(ids) < n:
+        if read == len(witness):
+            witness.append(missing.pop())
+        ids = {}
+        classes = list(map(ids.setdefault, zip(classes, g.distances(witness[read])), range(n)))
+        read += 1
     return witness
 
 

@@ -9,7 +9,9 @@ feasibility test branches on the uncovered pair with the fewest separators
 left, as in the covering view of Chartrand, Eroh, Johnson and Oellermann.
 The second fills the witness one position at a time with the least vertex
 whose remainder is still feasible, so the reported witness is always the
-lexicographically least minimum resolving set.
+lexicographically least minimum resolving set. Both phases, and building
+the separators, are skipped when the first labels already resolve at the
+proven lower bound (see `metric_dimension_exact`).
 
 `metric_dimension_reference` is the unpruned baseline the exact search is
 audited against; it shares nothing with the fast path beyond the distance
@@ -42,6 +44,8 @@ class DimensionResult:
     `BudgetError` instead of returning. It stays because the `dim` JSON
     key of the same name is part of `metric-dim/1`, which perfbench's gate
     reads, and perfbench's tests build this class from its four fields.
+    `nodes_explored` counts the feasibility nodes of both search phases; a
+    result certified by the first-k0 check before any search reports 1.
     """
 
     dimension: int
@@ -148,15 +152,21 @@ def metric_dimension_exact(
 ) -> DimensionResult:
     """Exact metric dimension with the lexicographically least minimum witness.
 
-    Sizes are tried in increasing order starting from the degree lower
-    bound; the first size k whose pairs can be covered is the dimension.
-    The witness is then built position by position from the sorted vertex
-    labels, each time taking the least vertex after the previous one from
-    which the rest can still be covered by later vertices. `nodes_explored`
-    counts the feasibility nodes of both phases. Raises Exceeded when no
-    resolving set of size <= max_k exists, and Budget when the node or time
-    budget runs out first; the time budget also covers building the
-    distance rows and separators.
+    k0 is a proven lower bound: the least k with max degree <= 3^k - 1
+    (Khuller, Raghavachari and Rosenfeld), raised to 2 unless the graph is
+    a path, since only paths have dimension 1 (Chartrand, Eroh, Johnson
+    and Oellermann). If the first k0 labels resolve the graph they are the
+    answer, returned as one node before any separator is built. Otherwise
+    sizes are tried in increasing order from k0; the first size k whose
+    pairs can be covered is the dimension. The witness is then built
+    position by position from the sorted vertex labels, each time taking
+    the least vertex after the previous one from which the rest can still
+    be covered by later vertices. `nodes_explored` counts the feasibility
+    nodes of both phases; the first-k0 check counts none when it fails.
+    Raises Exceeded when no resolving set of size <= max_k exists (at once
+    when max_k < k0), and Budget when the node or time budget runs out
+    first; the time budget also covers building the distance rows and
+    separators.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
@@ -176,6 +186,18 @@ def metric_dimension_exact(
         raise ValueError("max_k must be at least 1")
     if n == 1:
         return DimensionResult(1, verts, True, 0)
+    k0 = _min_size_from_degree(max_degree(graph))
+    if k0 == 1 and graph.edge_count != n - 1:
+        k0 = 2  # connected with degree <= 2 but not a path: a cycle, dimension 2
+    if k0 > max_k:
+        raise ExceededError(f"no resolving set of size <= {max_k}")
+    check_time()
+    # k0 is a lower bound and no k0-set precedes the first k0 labels, so if
+    # they resolve they are the lex-least minimum witness: one node.
+    if is_resolving(graph, verts[:k0]):
+        if node_budget is not None and node_budget < 1:
+            raise BudgetError(f"node budget {node_budget} exhausted")
+        return DimensionResult(k0, verts[:k0], True, 1)
     pairs = _pair_separators(graph, check_time)
 
     nodes = 0
@@ -224,7 +246,7 @@ def metric_dimension_exact(
             uncovered = [mask for mask in parent if not mask & vertex]
 
     everyone = (1 << n) - 1
-    for k in range(_min_size_from_degree(max_degree(graph)), min(max_k, n) + 1):
+    for k in range(k0, min(max_k, n) + 1):
         if feasible(pairs, everyone, k):
             break
     else:

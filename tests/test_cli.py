@@ -296,7 +296,7 @@ def test_payload_bytes(capsys, tmp_path, path_file):
     "p0"
   ],
   "exhaustive": true,
-  "nodes_explored": 2
+  "nodes_explored": 1
 }
 """)
     graph_file = tmp_path / "c6.edges"

@@ -14,7 +14,7 @@ from metricdim.errors import (
     ExceededError,
     UnknownVertexError,
 )
-from metricdim.families import StripSpec, strip_canonical_set, strip_graph
+from metricdim.families import KiteSpec, StripSpec, kite_graph, strip_canonical_set, strip_graph
 from metricdim.generators import (
     complete_bipartite_graph,
     complete_graph,
@@ -23,7 +23,7 @@ from metricdim.generators import (
     path_graph,
     random_connected_graph,
 )
-from metricdim.graph import Graph, bfs_distances, build_graph
+from metricdim.graph import Graph, add_edge, bfs_distances, build_graph
 from metricdim.resolving import (
     block_lower_bound_check,
     find_unresolved_pair,
@@ -78,7 +78,9 @@ def test_unknown_landmark_after_resolving_prefix_raises():
         find_unresolved_pair(g, ["p0", "zz"])
 
 
-def test_check_stops_reading_rows_once_resolved(monkeypatch):
+@pytest.fixture
+def row_sources(monkeypatch):
+    """The sources of every `Graph.distances` call made during the test, in order."""
     sources = []
     distances = Graph.distances
 
@@ -87,8 +89,12 @@ def test_check_stops_reading_rows_once_resolved(monkeypatch):
         return distances(graph, source)
 
     monkeypatch.setattr(Graph, "distances", counting_distances)
+    return sources
+
+
+def test_check_stops_reading_rows_once_resolved(row_sources):
     assert is_resolving(path_graph(50), ["p0", "p10", "p20"])
-    assert sources == ["p0"]
+    assert row_sources == ["p0"]
 
 
 def test_resolving_with_unreachable_codes():
@@ -160,6 +166,59 @@ def test_exact_errors():
         metric_dimension_exact(path_graph(300), time_budget=0.0)
 
 
+def _relabelled(graph, rng):
+    """`graph` with its labels permuted by `rng`."""
+    verts = list(graph.vertices())
+    names = dict(zip(verts, rng.sample(verts, len(verts))))
+    return build_graph([(names[u], names[v]) for u, v in graph.edges()])
+
+
+def _matches_reference(graph, result):
+    slow = metric_dimension_reference(graph)
+    return (result.dimension, result.witness) == (slow.dimension, slow.witness)
+
+
+def test_first_labels_that_resolve_skip_preparation(row_sources):
+    # the degree bound gives 1; a cycle is not a path, so its bound is 2
+    for graph, rows in (
+        (path_graph(1000), {"p0"}),
+        (cycle_graph(800), {"c0", "c1"}),
+        (path_graph(9), {"p0"}),
+        (cycle_graph(9), {"c0", "c1"}),
+    ):
+        row_sources.clear()
+        result = metric_dimension_exact(graph)
+        assert set(row_sources) == rows
+        assert result.witness == tuple(sorted(rows))
+        assert (result.dimension, result.nodes_explored) == (len(rows), 1)
+        if graph.vertex_count <= 11:
+            assert _matches_reference(graph, result)
+    with pytest.raises(BudgetError):  # the first-k0 check counts as a node
+        metric_dimension_exact(path_graph(9), node_budget=0)
+
+
+def test_first_labels_that_do_not_resolve_fall_through_to_search():
+    # least label "a" is an interior vertex of the path b - a - c - d - e
+    graph = build_graph([("b", "a"), ("a", "c"), ("c", "d"), ("d", "e")])
+    result = metric_dimension_exact(graph)
+    assert (result.dimension, result.witness) == (1, ("b",))
+    assert result.nodes_explored > 1
+    assert _matches_reference(graph, result)
+
+
+def test_max_k_below_the_bound_fails_before_preparation(row_sources):
+    with pytest.raises(ExceededError):
+        metric_dimension_exact(cycle_graph(800), max_k=1)
+    assert len(set(row_sources)) <= 1  # the connectivity check's row only
+
+
+def test_search_nodes_on_misses():
+    # the first k0 labels do not resolve these, so the whole search runs
+    kite, _, missing = kite_graph(KiteSpec(5, 4))
+    for graph, nodes in ((add_edge(kite, *missing), 3_358), (strip_graph(StripSpec(1, True, 100)), 110)):
+        assert metric_dimension_exact(graph).nodes_explored == nodes
+
+
 def test_exact_search_does_not_recurse():
     # dimension 39 would need 39 nested frames in a recursive search; the
     # reference cannot enumerate K40, so the expected answer is stated here
@@ -174,15 +233,21 @@ def test_exact_search_does_not_recurse():
     assert result.witness == graph.vertices()[:-1]
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=50, deadline=None)
-def test_exact_witness_resolves_and_matches_reference(seed):
-    g = connected_graph_from_seed(seed, max_n=10)
+@given(st.integers(0, 10_000), st.sampled_from(["random", "path", "cycle", "ladder"]))
+@settings(max_examples=80, deadline=None)
+def test_exact_witness_resolves_and_matches_reference(seed, kind):
+    # relabelled paths, cycles and ladders hit or miss the first-k0 check
+    rng = random.Random(seed)
+    g = {
+        "random": lambda: connected_graph_from_seed(seed, max_n=10),
+        "path": lambda: _relabelled(path_graph(rng.randint(2, 11)), rng),
+        "cycle": lambda: _relabelled(cycle_graph(rng.randint(3, 11)), rng),
+        "ladder": lambda: _relabelled(ladder_graph(rng.randint(2, 5)), rng),
+    }[kind]()
     fast = metric_dimension_exact(g)
     assert is_resolving(g, fast.witness)
     assert len(fast.witness) == fast.dimension
-    slow = metric_dimension_reference(g)
-    assert (fast.dimension, fast.witness) == (slow.dimension, slow.witness)
+    assert _matches_reference(g, fast)
 
 
 @given(st.integers(0, 10_000))
