@@ -440,6 +440,9 @@ def claim_kite_dimensions(seed: int) -> str:
     if (before, after) != (5, 9):
         raise ClaimFailure(f"dimension {before} -> {after}, expected 5 -> 9")
     delta = after - before
+    # m - 2 is the claim's bound, printed as stated; it is not tight: the ILP
+    # optima in tests/test_oracle.py (9, 11, 13 for m = 5, 6, 7 with the
+    # edge, on base dimension m) give delta = m - 1
     floor = spec.branches - 2
     return f"dimension {before} -> {after} (delta {delta}, expected >= {floor}: {delta >= floor})"
 

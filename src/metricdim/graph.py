@@ -12,7 +12,8 @@ labels and index and checks nothing again.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections import defaultdict
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EdgeExistsError,
@@ -45,7 +46,7 @@ def validate_label(label: object) -> str:
     """Return `label` if it is a usable vertex label, else raise."""
     if not isinstance(label, str) or not label:
         raise InvalidLabelError(f"vertex label must be a nonempty string, got {label!r}")
-    if any(ch.isspace() for ch in label):
+    if label.split() != [label]:
         raise InvalidLabelError(f"vertex label may not contain whitespace: {label!r}")
     if label.startswith("#"):
         # the edge-list format reads such a line as a comment
@@ -61,11 +62,13 @@ class Graph:
     Neighbours are held only as vertex indices (positions in `vertices()`);
     the label views are derived from them. `distances(source)` runs its BFS
     over those integers the first time a source is asked for, then caches
-    the row. Edits build a new graph with an empty cache, so a row never
-    outlives the edges it was measured on.
+    the row. On a dense graph (average degree at least `_DENSE_DEGREE`) the
+    BFS runs level by level on neighbour bitmasks, built on the first row.
+    Edits build a new graph with an empty cache and no masks, so neither a
+    row nor a mask outlives the edges it was measured on.
     """
 
-    __slots__ = ("_index", "_nbrs", "_rows", "_verts")
+    __slots__ = ("_index", "_masks", "_nbrs", "_rows", "_verts")
 
     def __init__(
         self, verts: tuple[str, ...], index: dict[str, int], nbrs: tuple[tuple[int, ...], ...]
@@ -80,6 +83,7 @@ class Graph:
         self._index = index
         self._nbrs = nbrs
         self._rows: dict[str, tuple[Distance, ...]] = {}
+        self._masks: list[int] | None = None  # decided on the first row; [] if sparse
 
     @property
     def vertex_count(self) -> int:
@@ -129,13 +133,31 @@ class Graph:
             nbrs = self._nbrs
             dist: list[Distance] = [UNREACHABLE] * len(nbrs)
             dist[start] = 0
-            queue = [start]
-            for x in queue:  # the list grows while it is walked: a FIFO queue
-                dx = dist[x] + 1
-                for y in nbrs[x]:
-                    if dist[y] is UNREACHABLE:
-                        dist[y] = dx
-                        queue.append(y)
+            masks = self._masks
+            if masks is None:
+                masks = self._masks = _dense_masks(nbrs)
+            if masks:
+                # level by level: `reach` is every neighbour of the frontier,
+                # and the next frontier is what no earlier level has seen
+                seen, reach, d = 1 << start, masks[start], 0
+                while new := reach & ~seen:
+                    d += 1
+                    seen |= new
+                    reach = 0
+                    while new:  # visit the new frontier lowest bit first
+                        low = new & -new
+                        y = low.bit_length() - 1
+                        dist[y] = d
+                        reach |= masks[y]
+                        new ^= low
+            else:
+                queue = [start]
+                for x in queue:  # the list grows while it is walked: a FIFO queue
+                    dx = dist[x] + 1
+                    for y in nbrs[x]:
+                        if dist[y] is UNREACHABLE:
+                            dist[y] = dx
+                            queue.append(y)
             row = self._rows[source] = tuple(dist)
         return row
 
@@ -151,20 +173,33 @@ class Graph:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
 
 
+# Average degree from which rows are computed on neighbour bitmasks: below
+# it, a list BFS touches few edges per vertex and beats the bit operations.
+_DENSE_DEGREE = 16
+
+
+def _dense_masks(nbrs: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Each vertex's neighbours as a bitmask, or [] if the graph is sparse."""
+    if sum(map(len, nbrs)) < _DENSE_DEGREE * len(nbrs):
+        return []
+    bits = [1 << i for i in range(len(nbrs))]
+    return [sum(map(bits.__getitem__, nb)) for nb in nbrs]  # distinct bits: sum is OR
+
+
 def build_graph(
-    edges: Iterable[tuple[str, str]], isolated: Iterable[str] = ()
+    edges: Iterable[Sequence[str]], isolated: Iterable[str] = ()
 ) -> Graph:
-    """Build a graph from unordered label pairs.
+    """Build a graph from unordered label pairs (tuples or two-item lists).
 
     Duplicate pairs collapse into one edge; `isolated` lists vertices that
     appear in no edge. Each distinct label is checked once, after staging;
     a label is hashed only once it is known to be a string.
     """
-    staged: dict[str, set[str]] = {}
+    staged: defaultdict[str, set[str]] = defaultdict(set)
     for label in isolated:
         if not isinstance(label, str):
             validate_label(label)
-        staged.setdefault(label, set())
+        staged[label]  # staged with no neighbours yet
     for u, v in edges:
         if u == v or not isinstance(u, str) or not isinstance(v, str):
             # raise as a check of each label in order would have: a bad
@@ -172,8 +207,8 @@ def build_graph(
             for label in (*staged, u, v):
                 validate_label(label)
             raise SelfLoopError(f"self-loop at {u!r}")
-        staged.setdefault(u, set()).add(v)
-        staged.setdefault(v, set()).add(u)
+        staged[u].add(v)
+        staged[v].add(u)
     for label in staged:
         validate_label(label)
     verts = tuple(sorted(staged))
@@ -233,17 +268,17 @@ def parse_edge_list(text: str) -> Graph:
     single label declares an isolated vertex; lines starting with `#` are
     comments; blank lines are ignored.
     """
-    edges: list[tuple[str, str]] = []
+    edges: list[list[str]] = []
     singles: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    # one split per line: its first token starts with '#' iff its stripped
+    # text does
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
-        if len(tokens) == 1:
+        if len(tokens) == 2:
+            edges.append(tokens)
+        elif len(tokens) == 1:
             singles.append(tokens[0])
-        elif len(tokens) == 2:
-            edges.append((tokens[0], tokens[1]))
         else:
             raise ValueError(f"line {lineno}: expected one or two labels, got {len(tokens)}")
     return build_graph(edges, isolated=singles)

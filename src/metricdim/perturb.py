@@ -135,11 +135,9 @@ def parse_edit_sequence(text: str) -> list[EditStep]:
     Lines starting with `#` and blank lines are ignored.
     """
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if len(tokens) != 3 or tokens[0].lower() not in ("add", "remove"):
             raise ValueError(f"line {lineno}: expected 'add u v' or 'remove u v'")
         steps.append(EditStep(EditOp(tokens[0].lower()), tokens[1], tokens[2]))

@@ -16,6 +16,7 @@ from metricdim.errors import (
 from metricdim.families import StripSpec, strip_graph
 from metricdim.generators import complete_graph, cycle_graph, path_graph, random_graph
 from metricdim.graph import (
+    _DENSE_DEGREE,
     UNREACHABLE,
     Graph,
     add_edge,
@@ -94,6 +95,17 @@ def test_labels_may_not_start_with_hash():
         parse_edge_list("a #b\n")
     g = build_graph([("a#", "b")])  # '#' after the first character is fine
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_label_whitespace_is_str_isspace():
+    # a label is refused for whitespace exactly where str.isspace says so
+    for code in range(0x3001):
+        c = chr(code)
+        if c.isspace():
+            with pytest.raises(InvalidLabelError):
+                build_graph([("a" + c + "b", "x")])
+        else:
+            assert build_graph([("a" + c + "b", "x")]).vertex_count == 2
 
 
 _UNKNOWN_LABEL_CALLS = {
@@ -248,6 +260,68 @@ def test_edit_chains_match_reference(seed):
         g = edited
 
 
+def _rows_match_reference(g):
+    """Check every row of `g` against `_reference_bfs`; return whether the
+    rows were computed on neighbour bitmasks."""
+    for s in g.vertices():
+        assert g.distances(s) == tuple(_reference_bfs(g, s).values())
+    return bool(g._masks)
+
+
+@given(st.integers(20, 60), st.floats(0.6, 0.95), st.integers(0, 10_000))
+@settings(max_examples=12, deadline=None)
+def test_dense_rows_match_reference(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    dense = 2 * g.edge_count >= _DENSE_DEGREE * n
+    assert _rows_match_reference(g) == dense
+
+
+def test_dense_rows_mark_other_components_unreachable():
+    rng = random.Random(3)
+    blocks = {side: random_graph(rng, 30, 0.75) for side in "ab"}
+    g = build_graph(
+        [(side + u, side + v) for side, b in blocks.items() for u, v in b.edges()],
+        isolated=["z"],
+    )
+    assert _rows_match_reference(g)
+    row = g.distances("an0")
+    assert {row[g.index_of(v)] for v in g.vertices() if v[0] != "a"} == {UNREACHABLE}
+    assert max(row[g.index_of(v)] for v in g.vertices() if v[0] == "a") == 2
+    assert set(g.distances("z")) == {0, UNREACHABLE}
+
+
+def test_dense_threshold_is_average_degree():
+    # the circulant C_40(1..k) has average degree exactly 2k: at the
+    # threshold it is dense, and one edge fewer makes it sparse
+    n, k = 40, _DENSE_DEGREE // 2
+    labels = [f"v{i:02d}" for i in range(n)]
+    at = build_graph((labels[i], labels[(i + j) % n]) for i in range(n) for j in range(1, k + 1))
+    assert 2 * at.edge_count == _DENSE_DEGREE * n
+    assert _rows_match_reference(at)
+    below = remove_edge(at, labels[0], labels[1])
+    assert not _rows_match_reference(below)
+    assert not _rows_match_reference(build_graph(below.edges()))
+    assert _rows_match_reference(add_edge(below, labels[0], labels[1]))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=8, deadline=None)
+def test_dense_edit_chains_match_reference(seed):
+    # an edit must not reuse its parent's bitmasks, and must leave the
+    # parent's rows as they were
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(30, 40), rng.uniform(0.8, 0.95))
+    assert _rows_match_reference(g)
+    verts = g.vertices()
+    for _ in range(rng.randint(1, 4)):
+        rows = {s: g.distances(s) for s in verts}
+        u, v = rng.sample(verts, 2)
+        edited = remove_edge(g, u, v) if g.has_edge(u, v) else add_edge(g, u, v)
+        assert _rows_match_reference(edited)
+        assert {s: g.distances(s) for s in verts} == rows
+        g = edited
+
+
 def _assert_matches_model(g, model):
     verts = sorted(model)
     edges = sorted((u, v) for u in model for v in model[u] if u < v)
@@ -386,6 +460,21 @@ def test_edge_list_isolated_vertices():
 def test_edge_list_rejects_bad_lines():
     with pytest.raises(ValueError):
         parse_edge_list("a b c\n")
+    # blank and comment lines still count toward the line number
+    with pytest.raises(ValueError, match=r"^line 4: expected one or two labels, got 3$"):
+        parse_edge_list("a b\n\n# c\nx y z\n")
+
+
+def test_edge_list_skips_comment_and_blank_lines():
+    # indented and tab-led comments are skipped whatever their token count
+    text = "  # a b c\n\t# d e f g\n#\n \t \n\na b\n\t#x\n"
+    assert parse_edge_list(text) == build_graph([("a", "b")])
+
+
+def test_edge_list_separators_and_line_ends():
+    # any str.isspace character separates labels; "\r\n" ends a line
+    text = "a\u00a0b\r\nb\u3000c\r\nd\r\n"
+    assert parse_edge_list(text) == build_graph([("a", "b"), ("b", "c")], isolated=["d"])
 
 
 def test_dot_export(abc_path):

@@ -288,5 +288,10 @@ def test_parse_edit_sequence():
         EditStep(EditOp.ADD, "a", "b"),
         EditStep(EditOp.REMOVE, "b", "c"),
     ]
+    # indented and tab-led comments are skipped whatever their token count
+    text = "  # add x y\n\t#remove y z\n \t\nadd\u00a0a b\r\n"
+    assert parse_edit_sequence(text) == [EditStep(EditOp.ADD, "a", "b")]
     with pytest.raises(ValueError):
         parse_edit_sequence("toggle a b\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected 'add u v' or 'remove u v'$"):
+        parse_edit_sequence("add a b\n  # c\nadd a\n")
