@@ -3,8 +3,8 @@
 Each claim is a self-contained check over the library: fixed distance
 sequences, oracle-versus-BFS sweeps, randomized soundness trials, exact
 search audits. Claims report PASS/FAIL with a detail string; a claim is
-SKIPPED only when its estimated cost does not fit the remaining time
-budget. Randomized claims derive their generator from the suite seed and
+SKIPPED only when the time budget is already spent before it starts.
+Randomized claims derive their generator from the suite seed and
 their own id, so a fixed seed reproduces every trial.
 """
 
@@ -48,7 +48,6 @@ class ClaimReport:
 @dataclass(frozen=True)
 class Claim:
     claim_id: str
-    cost_estimate: float  # seconds; gates the claim against the budget
     fn: Callable[[int], str]
 
 
@@ -481,29 +480,27 @@ def claim_exact_audit(seed: int) -> str:
     return f"pruned and unpruned searches agree on {len(sample)} graphs"
 
 
-# Cost estimates are about twice the `elapsed` that `metricdim verify
-# --format json` reports (2 cores, Python 3.11); 0.0 never skips.
 CLAIMS: tuple[Claim, ...] = (
-    Claim("corpus.degree-bound", 0.08, claim_corpus_degree_bound),
-    Claim("exact.audit", 0.05, claim_exact_audit),
-    Claim("kite.dimensions", 0.03, claim_kite_dimensions),
-    Claim("kite.witness-flip", 0.002, claim_kite_witness_flip),
-    Claim("ladder.dimension", 0.015, claim_ladder_dimension),
-    Claim("nonbinary.block-bound", 0.002, claim_nonbinary_block_bound),
-    Claim("nonbinary.exact-dim", 0.15, claim_nonbinary_exact_dim),
-    Claim("nonbinary.ramp-codes", 0.002, claim_nonbinary_ramp_codes),
-    Claim("nonbinary.resolving", 0.001, claim_nonbinary_resolving),
-    Claim("perturb.removal-bound", 0.21, claim_perturb_removal_bound),
-    Claim("perturb.soundness", 0.52, claim_perturb_soundness),
-    Claim("strip.canonical-resolves", 0.03, claim_strip_canonical_resolves),
-    Claim("strip.oracle-bfs", 0.08, claim_strip_oracle_bfs),
-    Claim("strip.sequence-laws", 0.0, claim_strip_sequence_laws),
-    Claim("strip.sequences", 0.0, claim_strip_sequences),
-    Claim("strip.unresolved-pair", 0.025, claim_strip_unresolved_pair),
-    Claim("tail.sandwich", 0.25, claim_tail_sandwich),
-    Claim("ternary.canonical", 0.025, claim_ternary_canonical),
-    Claim("ternary.max-n4", 0.004, claim_ternary_max_n4),
-    Claim("ternary.max-small", 0.001, claim_ternary_max_small),
+    Claim("corpus.degree-bound", claim_corpus_degree_bound),
+    Claim("exact.audit", claim_exact_audit),
+    Claim("kite.dimensions", claim_kite_dimensions),
+    Claim("kite.witness-flip", claim_kite_witness_flip),
+    Claim("ladder.dimension", claim_ladder_dimension),
+    Claim("nonbinary.block-bound", claim_nonbinary_block_bound),
+    Claim("nonbinary.exact-dim", claim_nonbinary_exact_dim),
+    Claim("nonbinary.ramp-codes", claim_nonbinary_ramp_codes),
+    Claim("nonbinary.resolving", claim_nonbinary_resolving),
+    Claim("perturb.removal-bound", claim_perturb_removal_bound),
+    Claim("perturb.soundness", claim_perturb_soundness),
+    Claim("strip.canonical-resolves", claim_strip_canonical_resolves),
+    Claim("strip.oracle-bfs", claim_strip_oracle_bfs),
+    Claim("strip.sequence-laws", claim_strip_sequence_laws),
+    Claim("strip.sequences", claim_strip_sequences),
+    Claim("strip.unresolved-pair", claim_strip_unresolved_pair),
+    Claim("tail.sandwich", claim_tail_sandwich),
+    Claim("ternary.canonical", claim_ternary_canonical),
+    Claim("ternary.max-n4", claim_ternary_max_n4),
+    Claim("ternary.max-small", claim_ternary_max_small),
 )
 
 
@@ -512,26 +509,22 @@ def run_verify_suite(
     budget: float = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
 ) -> list[ClaimReport]:
-    """Run every registered claim matching `prefix`, within a time budget.
+    """Run every claim whose id starts with `prefix`, within a time budget.
 
-    Claims run in claim-id order; each is skipped when its cost estimate no
-    longer fits the remaining budget. Failures are data, not exceptions: a
-    claim that raises anything else is reported as ERROR and the suite goes on.
+    Claims run in claim-id order. Once their elapsed times add up to `budget`
+    seconds, every remaining claim is SKIPPED, so the suite overruns the budget
+    by at most one claim's run time. A prefix that selects no claim raises
+    ValueError. Failures are data, not exceptions: a claim that raises anything
+    else is reported as ERROR and the suite goes on.
     """
+    selected = [claim for claim in CLAIMS if claim.claim_id.startswith(prefix)]
+    if not selected:
+        raise ValueError(f"no claim id starts with {prefix!r}")
     reports: list[ClaimReport] = []
     remaining = budget
-    for claim in CLAIMS:
-        if prefix and not claim.claim_id.startswith(prefix):
-            continue
-        if claim.cost_estimate > 0 and claim.cost_estimate > remaining:
-            reports.append(
-                ClaimReport(
-                    claim.claim_id,
-                    "SKIPPED",
-                    f"budget-gated (needs ~{claim.cost_estimate:.2g}s)",
-                    0.0,
-                )
-            )
+    for claim in selected:
+        if remaining <= 0:
+            reports.append(ClaimReport(claim.claim_id, "SKIPPED", f"budget {budget:g}s spent", 0.0))
             continue
         start = time.perf_counter()
         try:

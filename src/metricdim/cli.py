@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the claim-verification suite")
     verify.add_argument("--filter", default="", help="claim-id prefix")
-    verify.add_argument("--budget", type=float, default=claims.DEFAULT_BUDGET, help="seconds")
+    verify.add_argument("--budget", type=float, default=claims.DEFAULT_BUDGET,
+                        help="seconds; no claim starts once they are spent")
     verify.add_argument("--seed", type=int, default=claims.DEFAULT_SEED)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=_cmd_verify)
