@@ -1,27 +1,6 @@
 """Resolving sets, metric dimension, and edge-perturbation tooling."""
 
-from .errors import (
-    BlockOverlapError,
-    BudgetError,
-    ConflictingStringsError,
-    DisconnectedError,
-    DisconnectsGraphError,
-    EdgeExistsError,
-    EdgeMissingError,
-    EmptyLandmarksError,
-    EmptyWitnessError,
-    EqualStringsError,
-    ExceededError,
-    InvalidLabelError,
-    LengthMismatchError,
-    MetricDimError,
-    NotARampError,
-    NotResolvingError,
-    SelfLoopError,
-    TooLargeError,
-    UnknownVertexError,
-    WindowTooSmallError,
-)
+from .errors import BudgetError, ExceededError, NotResolvingError
 from .families import (
     KiteSpec,
     NonbinarySpec,

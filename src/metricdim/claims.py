@@ -10,6 +10,7 @@ their own id, so a fixed seed reproduces every trial.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -513,10 +514,13 @@ def run_verify_suite(
 
     Claims run in claim-id order. Once their elapsed times add up to `budget`
     seconds, every remaining claim is SKIPPED, so the suite overruns the budget
-    by at most one claim's run time. A prefix that selects no claim raises
-    ValueError. Failures are data, not exceptions: a claim that raises anything
-    else is reported as ERROR and the suite goes on.
+    by at most one claim's run time; an infinite budget skips nothing. A NaN
+    budget, or a prefix that selects no claim, raises ValueError. Failures are
+    data, not exceptions: a claim that raises anything else is reported as
+    ERROR and the suite goes on.
     """
+    if math.isnan(budget):
+        raise ValueError(f"budget {budget} is not a number")
     selected = [claim for claim in CLAIMS if claim.claim_id.startswith(prefix)]
     if not selected:
         raise ValueError(f"no claim id starts with {prefix!r}")

@@ -23,12 +23,7 @@ from functools import cache
 from typing import Sequence
 
 from . import claims, families, generators, ternary
-from .errors import (
-    BudgetError,
-    ExceededError,
-    MetricDimError,
-    NotResolvingError,
-)
+from .errors import BudgetError, ExceededError, NotResolvingError
 from .graph import Graph, format_edge_list, parse_edge_list, to_dot
 from .perturb import apply_edit_sequence, parse_edit_sequence
 from .resolving import find_unresolved_pair, is_resolving, metric_dimension_exact
@@ -278,7 +273,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ExceededError, NotResolvingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except (MetricDimError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

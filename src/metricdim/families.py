@@ -20,15 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    ConflictingStringsError,
-    EmptyWitnessError,
-    InvalidLabelError,
-    LengthMismatchError,
-    NotARampError,
-    UnknownVertexError,
-    WindowTooSmallError,
-)
 from .graph import Graph, build_graph
 from .ternary import is_conflict_free, validate_ternary
 
@@ -63,7 +54,7 @@ class StripSpec:
         if self.i < 0:
             raise ValueError(f"i must be nonnegative, got {self.i}")
         if self.n_cols < 2:
-            raise WindowTooSmallError(f"need at least 2 columns, got {self.n_cols}")
+            raise ValueError(f"need at least 2 columns, got {self.n_cols}")
 
 
 def strip_graph(spec: StripSpec) -> Graph:
@@ -143,7 +134,7 @@ def strip_unresolved_pair(
         raise ValueError(f"i must be positive, got {i}")
     witness = tuple(witness)
     if not witness:
-        raise EmptyWitnessError("witness must be nonempty")
+        raise ValueError("witness must be nonempty")
     k = max(w.column for w in witness) + 1
     return (StripVertex(k, 0), StripVertex(k, 1))
 
@@ -218,11 +209,11 @@ def nonbinary_graph(spec: NonbinarySpec) -> tuple[Graph, tuple[str, ...], tuple[
     for x in spec.strings:
         validate_ternary(x)
         if len(x) != spec.d:
-            raise LengthMismatchError(f"string {x!r} does not have length {spec.d}")
+            raise ValueError(f"string {x!r} does not have length {spec.d}")
     if len(set(spec.strings)) != len(spec.strings):
-        raise ConflictingStringsError("page strings must be distinct")
+        raise ValueError("page strings must be distinct")
     if not is_conflict_free(spec.strings):
-        raise ConflictingStringsError("page strings must be pairwise conflict-free")
+        raise ValueError("page strings must be pairwise conflict-free")
     edges: list[tuple[str, str]] = []
     for x in spec.strings:
         a, p1, p2, p3, b = _page_labels(x)
@@ -266,11 +257,11 @@ def ramp_midpoint_code(d: int, i: int, x: str) -> tuple[int, ...]:
     """
     validate_ternary(x)
     if len(x) != d:
-        raise LengthMismatchError(f"string {x!r} does not have length {d}")
+        raise ValueError(f"string {x!r} does not have length {d}")
     if not 1 <= i <= d:
         raise ValueError(f"digit index must be in 1..{d}, got {i}")
     if x[i - 1] != "2":
-        raise NotARampError(f"digit {i} of {x!r} is not 2")
+        raise ValueError(f"digit {i} of {x!r} is not 2")
     return tuple(
         1 if j == i else (2 if x[j - 1] == "1" else 3) for j in range(1, d + 1)
     )
@@ -295,11 +286,11 @@ def tail_graph(spec: TailSpec) -> Graph:
     Tail vertices are labeled u1..u<length>; those labels must be fresh.
     """
     if spec.attach not in spec.base:
-        raise UnknownVertexError(f"no vertex {spec.attach!r} in the base graph")
+        raise ValueError(f"no vertex {spec.attach!r} in the base graph")
     tail = [f"u{s}" for s in range(1, spec.length + 1)]
     clash = [t for t in tail if t in spec.base]
     if clash:
-        raise InvalidLabelError(f"tail labels already used by the base graph: {clash}")
+        raise ValueError(f"tail labels already used by the base graph: {clash}")
     edges = list(spec.base.edges())
     prev = spec.attach
     for t in tail:

@@ -15,14 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    EdgeExistsError,
-    EdgeMissingError,
-    InvalidLabelError,
-    SelfLoopError,
-    UnknownVertexError,
-)
-
 
 class _Unreachable:
     """Distance sentinel for vertices in another component.
@@ -45,12 +37,12 @@ Distance = int | _Unreachable
 def validate_label(label: object) -> str:
     """Return `label` if it is a usable vertex label, else raise."""
     if not isinstance(label, str) or not label:
-        raise InvalidLabelError(f"vertex label must be a nonempty string, got {label!r}")
+        raise ValueError(f"vertex label must be a nonempty string, got {label!r}")
     if label.split() != [label]:
-        raise InvalidLabelError(f"vertex label may not contain whitespace: {label!r}")
+        raise ValueError(f"vertex label may not contain whitespace: {label!r}")
     if label.startswith("#"):
         # the edge-list format reads such a line as a comment
-        raise InvalidLabelError(f"vertex label may not start with '#': {label!r}")
+        raise ValueError(f"vertex label may not start with '#': {label!r}")
     return label
 
 
@@ -118,7 +110,7 @@ class Graph:
         """Position of `vertex` in `vertices()` and in every distance row."""
         i = self._index.get(vertex)
         if i is None:
-            raise UnknownVertexError(f"no vertex {vertex!r}")
+            raise ValueError(f"no vertex {vertex!r}")
         return i
 
     def distances(self, source: str) -> tuple[Distance, ...]:
@@ -206,7 +198,7 @@ def build_graph(
             # label staged so far or in this pair first, else the loop
             for label in (*staged, u, v):
                 validate_label(label)
-            raise SelfLoopError(f"self-loop at {u!r}")
+            raise ValueError(f"self-loop at {u!r}")
         staged[u].add(v)
         staged[v].add(u)
     for label in staged:
@@ -220,9 +212,9 @@ def build_graph(
 def add_edge(graph: Graph, u: str, v: str) -> Graph:
     """Return a new graph with the edge (u, v) added."""
     if u == v:
-        raise SelfLoopError(f"self-loop at {u!r}")
+        raise ValueError(f"self-loop at {u!r}")
     if graph.has_edge(u, v):
-        raise EdgeExistsError(f"edge {u!r} -- {v!r} already present")
+        raise ValueError(f"edge {u!r} -- {v!r} already present")
     i, j = graph._index[u], graph._index[v]
     nbrs = list(graph._nbrs)
     nbrs[i] = tuple(sorted(nbrs[i] + (j,)))
@@ -233,9 +225,9 @@ def add_edge(graph: Graph, u: str, v: str) -> Graph:
 def remove_edge(graph: Graph, u: str, v: str) -> Graph:
     """Return a new graph with the edge (u, v) removed."""
     if u == v:
-        raise SelfLoopError(f"self-loop at {u!r}")
+        raise ValueError(f"self-loop at {u!r}")
     if not graph.has_edge(u, v):
-        raise EdgeMissingError(f"edge {u!r} -- {v!r} not present")
+        raise ValueError(f"edge {u!r} -- {v!r} not present")
     i, j = graph._index[u], graph._index[v]
     nbrs = list(graph._nbrs)
     nbrs[i] = tuple(x for x in nbrs[i] if x != j)

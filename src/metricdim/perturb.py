@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import (
-    DisconnectedError,
-    DisconnectsGraphError,
-    EdgeExistsError,
-    NotResolvingError,
-    SelfLoopError,
-)
+from .errors import NotResolvingError
 from .graph import Graph, add_edge, is_connected, remove_edge
 from .resolving import is_resolving
 
@@ -54,13 +48,13 @@ def augment_addition(
     """
     witness = tuple(witness)
     if u == v:
-        raise SelfLoopError(f"self-loop at {u!r}")
+        raise ValueError(f"self-loop at {u!r}")
     if graph.has_edge(u, v):
-        raise EdgeExistsError(f"edge {u!r} -- {v!r} already present")
+        raise ValueError(f"edge {u!r} -- {v!r} already present")
     for w in witness:
         graph.index_of(w)
     if not is_connected(graph):
-        raise DisconnectedError("witness transfer requires a connected graph")
+        raise ValueError("witness transfer requires a connected graph")
     if not is_resolving(graph, witness):
         raise NotResolvingError("witness does not resolve the input graph")
     verts = graph.vertices()
@@ -97,8 +91,8 @@ def _removal(
     edited = remove_edge(graph, u, v)
     if not is_connected(edited):
         if not is_connected(graph):
-            raise DisconnectedError("witness transfer requires a connected graph")
-        raise DisconnectsGraphError(f"removing {u!r} -- {v!r} disconnects the graph")
+            raise ValueError("witness transfer requires a connected graph")
+        raise ValueError(f"removing {u!r} -- {v!r} disconnects the graph")
     if not is_resolving(graph, witness):
         raise NotResolvingError("witness does not resolve the input graph")
     appended = sorted({u, v}.difference(witness))

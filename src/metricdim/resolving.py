@@ -20,18 +20,13 @@ layer (`Graph.distances`).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    BlockOverlapError,
-    BudgetError,
-    DisconnectedError,
-    EmptyLandmarksError,
-    ExceededError,
-)
+from .errors import BudgetError, ExceededError
 from .graph import Distance, Graph, is_connected, max_degree
 
 
@@ -60,7 +55,7 @@ def metric_code(
     """Distance vector of `vertex` to the ordered `landmarks`."""
     landmarks = tuple(landmarks)
     if not landmarks:
-        raise EmptyLandmarksError("need at least one landmark")
+        raise ValueError("need at least one landmark")
     i = graph.index_of(vertex)
     return tuple(graph.distances(w)[i] for w in landmarks)
 
@@ -166,8 +161,10 @@ def metric_dimension_exact(
     Raises Exceeded when no resolving set of size <= max_k exists (at once
     when max_k < k0), and Budget when the node or time budget runs out
     first; the time budget also covers building the distance rows and
-    separators.
+    separators. A NaN time budget raises ValueError; inf sets no limit.
     """
+    if time_budget is not None and math.isnan(time_budget):
+        raise ValueError(f"time budget {time_budget} is not a number")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     def check_time() -> None:
@@ -175,7 +172,7 @@ def metric_dimension_exact(
             raise BudgetError(f"time budget {time_budget}s exhausted")
 
     if not is_connected(graph):
-        raise DisconnectedError("exact dimension requires a connected graph")
+        raise ValueError("exact dimension requires a connected graph")
     verts = graph.vertices()
     n = len(verts)
     if n == 0:
@@ -273,7 +270,7 @@ def metric_dimension_reference(graph: Graph) -> DimensionResult:
     with it beyond the distance layer.
     """
     if not is_connected(graph):
-        raise DisconnectedError("exact dimension requires a connected graph")
+        raise ValueError("exact dimension requires a connected graph")
     verts = graph.vertices()
     n = len(verts)
     if n == 0:
@@ -304,7 +301,7 @@ def block_lower_bound_check(
             graph.index_of(v)
     for a, b in combinations(frozen, 2):
         if a & b:
-            raise BlockOverlapError(f"blocks share vertices: {sorted(a & b)}")
+            raise ValueError(f"blocks share vertices: {sorted(a & b)}")
     if len(reps) != len(frozen):
         raise ValueError("need exactly one representative per block")
     for rep, block in zip(reps, frozen):

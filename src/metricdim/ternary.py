@@ -13,8 +13,6 @@ from collections import deque
 from itertools import product
 from typing import Sequence
 
-from .errors import EqualStringsError, LengthMismatchError, TooLargeError
-
 _DIGITS = frozenset("012")
 
 
@@ -46,9 +44,9 @@ def first_conflict(strings: Sequence[str]) -> tuple[str, str] | None:
     for s in strings:
         validate_ternary(s)
     if len({len(s) for s in strings}) > 1:
-        raise LengthMismatchError("strings must share one length")
+        raise ValueError("strings must share one length")
     if len(set(strings)) != len(strings):
-        raise EqualStringsError("strings must be pairwise distinct")
+        raise ValueError("strings must be pairwise distinct")
     later: dict[str, deque[str]] = {}
     for s in strings:
         later.setdefault(_ones(s), deque()).append(s)
@@ -114,7 +112,7 @@ def max_conflict_free_bruteforce(n: int) -> tuple[int, list[str]]:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 4:
-        raise TooLargeError(f"brute force capped at n=4, got {n}")
+        raise ValueError(f"brute force capped at n=4, got {n}")
     parts: dict[str, list[str]] = {}
     for digits in product("012", repeat=n):
         s = "".join(digits)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from metricdim import claims, cli
+from metricdim import claims, cli, errors
 from metricdim.cli import main
 from metricdim.graph import parse_edge_list
 
@@ -242,6 +242,70 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch, path_file):
     monkeypatch.setattr(cli, "metric_dimension_exact", broken)
     assert main(["dim", path_file]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+ERROR_CLASS_EXIT = {"BudgetError": 3, "ExceededError": 1, "NotResolvingError": 1}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and value.__module__ == errors.__name__
+))
+def test_every_error_class_has_a_dispatcher(capsys, monkeypatch, path_file, name):
+    # a class the CLI does not tell apart from ValueError has no reason to exist
+    def raising(*args, **kwargs):
+        raise getattr(errors, name)("stop")
+
+    monkeypatch.setattr(cli, "metric_dimension_exact", raising)
+    assert main(["dim", path_file]) == ERROR_CLASS_EXIT.get(name)
+    assert capsys.readouterr().err == "error: stop\n"
+
+
+PATH_EDGES = "p0 p1\np1 p2\n"
+
+# one rejected input per module: (files to write, argv naming them, stderr)
+REJECTED_INPUTS = {
+    "check-unknown-vertex": (
+        {"g": PATH_EDGES}, ("check", "g", "zz"), "error: no vertex 'zz'\n"),
+    "dim-self-loop": (
+        {"g": "a b\nb b\n"}, ("dim", "g"), "error: self-loop at 'b'\n"),
+    "perturb-disconnecting-remove": (
+        {"g": PATH_EDGES, "edits": "remove p1 p2\n"},
+        ("perturb", "g", "--witness", "p0", "--edits", "edits"),
+        "error: removing 'p1' -- 'p2' disconnects the graph\n"),
+    "ternary-check-unequal-lengths": (
+        {"s": "012\n01\n"}, ("ternary", "check", "s"), "error: strings must share one length\n"),
+    "family-nonbinary-conflicting-strings": (
+        {"s": "20\n22\n"}, ("family", "nonbinary", "--d", "2", "--strings", "s"),
+        "error: page strings must be pairwise conflict-free\n"),
+    "family-tail-unknown-attach": (
+        {"g": PATH_EDGES}, ("family", "tail", "--base", "g", "--attach", "zz", "--len", "2"),
+        "error: no vertex 'zz' in the base graph\n"),
+    "family-strip-one-column": (
+        {}, ("family", "strip", "--i", "1", "--cols", "1"),
+        "error: need at least 2 columns, got 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_INPUTS)
+def test_rejected_input_exits_usage_with_its_message(capsys, tmp_path, case):
+    files, argv, err = REJECTED_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["dim", "GRAPH"], "error: time budget nan is not a number\n"),
+    (["verify", "--filter", "strip.sequences"], "error: budget nan is not a number\n"),
+], ids=["dim", "verify"])
+def test_nan_budget_is_a_usage_error(capsys, path_file, argv, err):
+    # NaN compares false against any clock, so it would silently lift the budget
+    argv = [path_file if a == "GRAPH" else a for a in argv]
+    assert main([*argv, "--budget", "nan"]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert main([*argv, "--budget", "inf"]) == 0  # inf stays "no limit"
 
 
 def test_main_reuses_its_parser_across_calls(capsys, monkeypatch, tmp_path, path_file):

@@ -6,13 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graph_from_seed
-from metricdim.errors import (
-    EdgeExistsError,
-    EdgeMissingError,
-    InvalidLabelError,
-    SelfLoopError,
-    UnknownVertexError,
-)
 from metricdim.families import StripSpec, strip_graph
 from metricdim.generators import complete_graph, cycle_graph, path_graph, random_graph
 from metricdim.graph import (
@@ -58,27 +51,27 @@ def test_build_strip_window_counts():
 
 
 def test_build_rejects_self_loop_and_bad_labels():
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(ValueError, match="self-loop at 'a'"):
         build_graph([("a", "a")])
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(ValueError, match="may not contain whitespace"):
         build_graph([("a", "b c")])
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(ValueError, match="must be a nonempty string"):
         build_graph([("", "b")])
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(ValueError, match="may not contain whitespace"):
         build_graph([("a b", "a b")])  # a bad label beats the self-loop
     for bad in (1, None, ["x"], ("x",)):  # not a string, hashable or not
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(ValueError, match="must be a nonempty string"):
             build_graph([(bad, "b")])
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(ValueError, match="must be a nonempty string"):
             build_graph([("a", bad)])
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(ValueError, match="must be a nonempty string"):
             build_graph([], isolated=[bad])
-    # the first bad pair in input order decides the class
-    with pytest.raises(InvalidLabelError):
+    # the first bad pair in input order decides the error
+    with pytest.raises(ValueError, match="may not contain whitespace"):
         build_graph([("a", "b c"), ("d", "d")])
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(ValueError, match="may not contain whitespace"):
         build_graph([("d", "d")], isolated=["e f"])
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(ValueError, match="self-loop at 'd'"):
         build_graph([("d", "d"), ("a", "b c")])
     with pytest.raises(TypeError):  # Graph wraps checked fields; it checks no mapping
         Graph({"a": ["b"], "b": ["a"]})
@@ -87,11 +80,11 @@ def test_build_rejects_self_loop_and_bad_labels():
 def test_labels_may_not_start_with_hash():
     # the edge-list format reads "#..." lines as comments, so such a label
     # could not survive format_edge_list -> parse_edge_list
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(ValueError, match="may not start with '#'"):
         build_graph([("#a", "b"), ("b", "c")])
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(ValueError, match="may not start with '#'"):
         build_graph([], isolated=["#x", "y"])
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(ValueError, match="may not start with '#'"):
         parse_edge_list("a #b\n")
     g = build_graph([("a#", "b")])  # '#' after the first character is fine
     assert parse_edge_list(format_edge_list(g)) == g
@@ -102,7 +95,7 @@ def test_label_whitespace_is_str_isspace():
     for code in range(0x3001):
         c = chr(code)
         if c.isspace():
-            with pytest.raises(InvalidLabelError):
+            with pytest.raises(ValueError, match="may not contain whitespace"):
                 build_graph([("a" + c + "b", "x")])
         else:
             assert build_graph([("a" + c + "b", "x")]).vertex_count == 2
@@ -127,7 +120,7 @@ _UNKNOWN_LABEL_CALLS = {
 @pytest.mark.parametrize("entry", _UNKNOWN_LABEL_CALLS)
 def test_unknown_labels_raise(abc_path, entry):
     # every label entry point names the first unknown label it meets
-    with pytest.raises(UnknownVertexError) as raised:
+    with pytest.raises(ValueError) as raised:
         _UNKNOWN_LABEL_CALLS[entry](abc_path)
     assert str(raised.value) == "no vertex 'zz'"
 
@@ -147,13 +140,13 @@ def test_remove_edge_opens_cycle():
 
 
 def test_edit_errors(abc_path):
-    with pytest.raises(EdgeExistsError):
+    with pytest.raises(ValueError, match="already present"):
         add_edge(abc_path, "a", "b")
-    with pytest.raises(EdgeMissingError):
+    with pytest.raises(ValueError, match="'a' -- 'c' not present"):
         remove_edge(abc_path, "a", "c")
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(ValueError, match="self-loop at 'a'"):
         add_edge(abc_path, "a", "a")
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(ValueError, match="no vertex 'z'"):
         add_edge(abc_path, "a", "z")
 
 
@@ -186,7 +179,7 @@ def test_bfs_unreachable_sentinel():
 
 
 def test_bfs_unknown_source(abc_path):
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(ValueError, match="no vertex 'z'"):
         bfs_distances(abc_path, "z")
 
 
@@ -204,7 +197,7 @@ def test_edits_do_not_inherit_cached_rows():
     ring = {v: c.distances(v) for v in c.vertices()}
     opened = remove_edge(c, "c0", "c1")
     assert [opened.index_of(v) for v in c.vertices()] == list(range(6))
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(ValueError, match="no vertex 'z'"):
         opened.index_of("z")
     assert bfs_distances(opened, "c0")["c1"] == 5
     assert {v: c.distances(v) for v in c.vertices()} == ring
