@@ -59,6 +59,8 @@ def random_graph(rng: random.Random, n: int, edge_prob: float) -> Graph:
     """Plain G(n, p); may be disconnected."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if not 0 <= edge_prob <= 1:  # NaN fails this too
+        raise ValueError(f"edge probability {edge_prob} is not in [0, 1]")
     labels = [f"n{i}" for i in range(n)]
     edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < edge_prob]
     return build_graph(edges, isolated=labels)
@@ -68,6 +70,8 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float) -
     """Random spanning tree plus independent extra edges; always connected."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if not 0 <= extra_edge_prob <= 1:  # NaN fails this too
+        raise ValueError(f"edge probability {extra_edge_prob} is not in [0, 1]")
     labels = [f"n{i}" for i in range(n)]
     edges = [(labels[rng.randrange(i)], labels[i]) for i in range(1, n)]
     taken = {tuple(sorted(e)) for e in edges}

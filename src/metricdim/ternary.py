@@ -72,8 +72,9 @@ def canonical_conflict_free(n: int) -> list[str]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = ["".join(digits) for digits in product("012", repeat=n)
-           if digits.count("2") <= 1]
+    rest = ["".join(bits) for bits in product("01", repeat=n - 1)]
+    out = [s + bit for s in rest for bit in "01"]
+    out += [s[:i] + "2" + s[i:] for s in rest for i in range(n)]
     out.sort()
     return out
 

@@ -126,6 +126,13 @@ def test_gen_connected_round_trip(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("connected", [(), ("--connected",)], ids=["plain", "connected"])
+@pytest.mark.parametrize("prob, shown", [("nan", "nan"), ("7", "7.0"), ("-3", "-3.0")])
+def test_gen_rejects_edge_prob_outside_unit_interval(capsys, prob, shown, connected):
+    assert main(["gen", "--n", "4", "--edge-prob", prob, *connected]) == 2
+    assert capsys.readouterr() == ("", f"error: edge probability {shown} is not in [0, 1]\n")
+
+
 def test_perturb_trace(capsys, tmp_path):
     graph_file = tmp_path / "c6.edges"
     graph_file.write_text("c0 c1\nc1 c2\nc2 c3\nc3 c4\nc4 c5\nc5 c0\n")

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import connected_graph_from_seed
 from metricdim.families import StripSpec, strip_graph
-from metricdim.generators import complete_graph, cycle_graph, path_graph, random_graph
+from metricdim.generators import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+)
 from metricdim.graph import (
     _DENSE_DEGREE,
     UNREACHABLE,
@@ -482,3 +488,12 @@ def test_edge_list_round_trip_random(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 10), rng.random())
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("make, tree_edges", [(random_graph, 0), (random_connected_graph, 3)])
+def test_random_generators_reject_edge_prob_outside_unit_interval(make, tree_edges):
+    for p in (float("nan"), 7, -3):
+        with pytest.raises(ValueError, match=rf"^edge probability {p} is not in \[0, 1\]$"):
+            make(random.Random(0), 4, p)
+    assert make(random.Random(0), 4, 0).edge_count == tree_edges
+    assert make(random.Random(0), 4, 1).edge_count == 6

@@ -1,8 +1,18 @@
-"""The package has no runtime dependencies: it imports only the standard library."""
+"""The package's source, read with `ast` or imported in a fresh interpreter.
+
+The package has no runtime dependencies: it imports only the standard library.
+Its root re-exports nothing, so importing one module loads only that module and
+what it imports. Every public top-level function and class is used somewhere in
+the library itself.
+"""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import metricdim
 
@@ -26,3 +36,38 @@ def test_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("metricdim.graph", {"metricdim", "metricdim.graph"}),
+    ("metricdim.resolving",
+     {"metricdim", "metricdim.errors", "metricdim.graph", "metricdim.resolving"}),
+])
+def test_importing_a_module_loads_only_its_imports(module, loaded):
+    script = ("import sys; import " + module + "; "
+              "print(' '.join(m for m in sys.modules if m.partition('.')[0] == 'metricdim'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(metricdim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert set(out.split()) == loaded
+
+
+def test_every_public_definition_is_used_in_the_library():
+    # a use is a Name or an Attribute anywhere outside __init__.py, its own module included
+    defined, used = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        ]
+        if path.name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert defined
+    assert [f"{file}: {name}" for file, name in defined if name not in used] == []

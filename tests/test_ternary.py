@@ -110,6 +110,12 @@ def test_canonical_size_formula(n):
     assert all(s.count("2") <= 1 for s in strings)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_canonical_matches_filter_definition(n):
+    every = ("".join(digits) for digits in product("012", repeat=n))
+    assert canonical_conflict_free(n) == sorted(s for s in every if s.count("2") <= 1)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_canonical_is_conflict_free(n):
     assert is_conflict_free(canonical_conflict_free(n))
