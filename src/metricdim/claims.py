@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import families, generators, ternary
 from .graph import Distance, Graph, add_edge, bfs_distances, max_degree, remove_edge
-from .perturb import augment_addition, augment_removal
+from .perturb import EditOp, EditStep, apply_edit_sequence
 from .resolving import (
     block_lower_bound_check,
     find_unresolved_pair,
@@ -261,18 +261,15 @@ def claim_perturb_soundness(seed: int) -> str:
         if do_add and not non_edges:
             continue
         if do_add:
-            u, v = rng.choice(non_edges)
-            bigger = augment_addition(g, witness, u, v)
-            edited = add_edge(g, u, v)
+            step = EditStep(EditOp.ADD, *rng.choice(non_edges))
             additions += 1
         else:
-            u, v = rng.choice(safe_removals)
-            bigger = augment_removal(g, witness, u, v)
-            edited = remove_edge(g, u, v)
+            step = EditStep(EditOp.REMOVE, *rng.choice(safe_removals))
             removals += 1
+        edited, bigger = apply_edit_sequence(g, witness, [step])[-1]
         if not is_resolving(edited, bigger):
             raise ClaimFailure(
-                f"witness transfer failed: n={n}, edit=({u},{v}), add={do_add}"
+                f"witness transfer failed: n={n}, edit=({step.u},{step.v}), add={do_add}"
             )
     return f"{additions} additions + {removals} removals all verified"
 

@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     nonbinary.add_argument("--canonical", action="store_true")
     nonbinary.add_argument("--strings", help="file of page strings, one per line")
     kite = fam_sub.add_parser("kite")
-    kite.add_argument("--branches", type=int, default=5)
-    kite.add_argument("--tail-len", type=int, default=4)
+    kite.add_argument("--branches", type=int, default=families.KiteSpec.branches)
+    kite.add_argument("--tail-len", type=int, default=families.KiteSpec.tail_len)
     tail = fam_sub.add_parser("tail")
     tail.add_argument("--base", required=True)
     tail.add_argument("--attach", required=True)

@@ -53,10 +53,7 @@ def augment_addition(
         raise ValueError(f"edge {u!r} -- {v!r} already present")
     for w in witness:
         graph.index_of(w)
-    if not is_connected(graph):
-        raise ValueError("witness transfer requires a connected graph")
-    if not is_resolving(graph, witness):
-        raise NotResolvingError("witness does not resolve the input graph")
+    _check_input(graph, witness)
     verts = graph.vertices()
     iu, iv = graph.index_of(u), graph.index_of(v)
     members = set(witness)
@@ -80,23 +77,19 @@ def augment_removal(
     The removed edge's endpoints are appended (in sorted label order) unless
     already present. Removals that disconnect the graph are rejected.
     """
-    return _removal(graph, witness, u, v)[1]
-
-
-def _removal(
-    graph: Graph, witness: Iterable[str], u: str, v: str
-) -> tuple[Graph, tuple[str, ...]]:
-    """`augment_removal`, also returning the edited graph it builds."""
     witness = tuple(witness)
-    edited = remove_edge(graph, u, v)
-    if not is_connected(edited):
-        if not is_connected(graph):
-            raise ValueError("witness transfer requires a connected graph")
+    if not is_connected(remove_edge(graph, u, v)) and is_connected(graph):
         raise ValueError(f"removing {u!r} -- {v!r} disconnects the graph")
+    _check_input(graph, witness)
+    return witness + tuple(sorted({u, v}.difference(witness)))
+
+
+def _check_input(graph: Graph, witness: tuple[str, ...]) -> None:
+    """Reject an input pair that no transfer starts from."""
+    if not is_connected(graph):
+        raise ValueError("witness transfer requires a connected graph")
     if not is_resolving(graph, witness):
         raise NotResolvingError("witness does not resolve the input graph")
-    appended = sorted({u, v}.difference(witness))
-    return edited, witness + tuple(appended)
 
 
 def apply_edit_sequence(
@@ -106,19 +99,21 @@ def apply_edit_sequence(
 
     Returns the trajectory [(G_0, W_0), (G_1, W_1), ...] starting from the
     input pair; step t's witness is built from step t-1's by the matching
-    augmentation.
+    public augmentation, which also checks its input pair. With no steps,
+    the input pair is checked here.
     """
     current_graph = graph
     current_witness = tuple(witness)
+    if not steps:
+        _check_input(current_graph, current_witness)
     trajectory = [(current_graph, current_witness)]
     for step in steps:
         if step.op is EditOp.ADD:
             current_witness = augment_addition(current_graph, current_witness, step.u, step.v)
             current_graph = add_edge(current_graph, step.u, step.v)
         else:
-            current_graph, current_witness = _removal(
-                current_graph, current_witness, step.u, step.v
-            )
+            current_witness = augment_removal(current_graph, current_witness, step.u, step.v)
+            current_graph = remove_edge(current_graph, step.u, step.v)
         trajectory.append((current_graph, current_witness))
     return trajectory
 

@@ -79,8 +79,8 @@ def canonical_conflict_free(n: int) -> list[str]:
     return out
 
 
-def _max_independent(strings: list[str], adjacent) -> tuple[int, list[str]]:
-    """Deterministic branch-and-bound maximum independent set."""
+def _max_independent(strings: list[str]) -> tuple[int, list[str]]:
+    """Deterministic branch-and-bound maximum independent set of the conflict graph."""
     best_size = 0
     best_pick: list[str] = []
 
@@ -94,7 +94,7 @@ def _max_independent(strings: list[str], adjacent) -> tuple[int, list[str]]:
                 best_pick = list(picked)
             return
         head, rest = pool[0], pool[1:]
-        grow([s for s in rest if not adjacent(head, s)], picked + [head])
+        grow([s for s in rest if not _conflicts(head, s)], picked + [head])
         grow(rest, picked)
 
     grow(sorted(strings), [])
@@ -121,7 +121,7 @@ def max_conflict_free_bruteforce(n: int) -> tuple[int, list[str]]:
     total = 0
     witness: list[str] = []
     for members in parts.values():
-        size, picked = _max_independent(members, _conflicts)
+        size, picked = _max_independent(members)
         total += size
         witness.extend(picked)
     return total, sorted(witness)

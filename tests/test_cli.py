@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from metricdim import claims, cli, errors
+from metricdim import claims, cli, errors, families
 from metricdim.cli import main
 from metricdim.graph import parse_edge_list
 
@@ -80,6 +80,16 @@ def test_family_formats(capsys):
     assert payload["family"] == "kite"
     assert payload["missing_edge"] == ["u", "v"]
     assert len(payload["witness"]) == 3
+
+
+def test_family_kite_defaults_are_kite_spec(capsys):
+    graph, witness, missing = families.kite_graph(families.KiteSpec())
+    code, payload = run_json(capsys, "family", "kite", "--format", "json")
+    assert code == 0
+    assert payload["vertices"] == list(graph.vertices())
+    assert payload["edges"] == [list(e) for e in graph.edges()]
+    assert payload["witness"] == list(witness)
+    assert payload["missing_edge"] == list(missing)
 
 
 def test_family_nonbinary_round_trip(capsys):
@@ -162,6 +172,20 @@ def test_perturb_rejects_bad_witness(capsys, tmp_path):
         ["perturb", str(graph_file), "--witness", "c0", "--edits", str(edits)]
     )
     assert code == 1  # a lone vertex does not resolve the 4-cycle
+
+
+@pytest.mark.parametrize("edits", ["", "# no edits\n\n"], ids=["empty", "comments"])
+@pytest.mark.parametrize("witness, code, out, err", [
+    ("zz", 2, "", "error: no vertex 'zz'\n"),
+    ("b", 1, "", "error: witness does not resolve the input graph\n"),
+    ("a", 0, '{\n  "schema": "metric-dim/1",\n  "trace": []\n}\n', ""),
+], ids=["unknown-vertex", "not-resolving", "resolving"])
+def test_perturb_checks_input_without_edits(capsys, tmp_path, edits, witness, code, out, err):
+    (tmp_path / "g").write_text("a b\nb c\n")
+    (tmp_path / "edits").write_text(edits)
+    graph, edit_file = str(tmp_path / "g"), str(tmp_path / "edits")
+    assert main(["perturb", graph, "--witness", witness, "--edits", edit_file]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_ternary_commands(capsys, tmp_path):

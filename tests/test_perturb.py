@@ -172,7 +172,7 @@ def test_add_then_remove_round_trip():
     assert is_resolving(final_graph, final_witness)
 
 
-def test_sequence_builds_each_removal_once(monkeypatch):
+def test_sequence_calls_one_public_augmentation_per_step(monkeypatch):
     g = cycle_graph(6)
     steps = [
         EditStep(EditOp.ADD, "c0", "c3"),
@@ -191,13 +191,29 @@ def test_sequence_builds_each_removal_once(monkeypatch):
                              augment_removal(graph, witness, step.u, step.v)))
     calls = []
 
-    def counting_remove_edge(graph, u, v):
-        calls.append((u, v))
-        return remove_edge(graph, u, v)
+    def counting(name, augment):
+        def wrapper(graph, witness, u, v):
+            calls.append((name, graph, witness, u, v))
+            return augment(graph, witness, u, v)
+        return wrapper
 
-    monkeypatch.setattr(perturb, "remove_edge", counting_remove_edge)
+    # tracers patch these two names, so every step must go through them
+    monkeypatch.setattr(perturb, "augment_addition", counting("add", augment_addition))
+    monkeypatch.setattr(perturb, "augment_removal", counting("remove", augment_removal))
     assert apply_edit_sequence(g, ("c0", "c1"), steps) == expected
-    assert calls == [("c0", "c1"), ("c3", "c4")]
+    assert calls == [
+        (step.op.value, graph, witness, step.u, step.v)
+        for step, (graph, witness) in zip(steps, expected)
+    ]
+
+
+def test_empty_sequence_checks_its_input(abc_path):
+    with pytest.raises(ValueError, match="^no vertex 'zz'$"):
+        apply_edit_sequence(abc_path, ("zz",), [])
+    with pytest.raises(NotResolvingError, match="^witness does not resolve the input graph$"):
+        apply_edit_sequence(abc_path, ("b",), [])  # a and c are both at distance 1
+    with pytest.raises(ValueError, match="^witness transfer requires a connected graph$"):
+        apply_edit_sequence(build_graph([("a", "b"), ("c", "d")]), ("a", "c"), [])
 
 
 def test_sequence_propagates_errors(abc_path):
