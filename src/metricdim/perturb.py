@@ -78,15 +78,18 @@ def augment_removal(
     already present. Removals that disconnect the graph are rejected.
     """
     witness = tuple(witness)
-    if not is_connected(remove_edge(graph, u, v)) and is_connected(graph):
+    stays_connected = is_connected(remove_edge(graph, u, v))
+    if not stays_connected and is_connected(graph):
         raise ValueError(f"removing {u!r} -- {v!r} disconnects the graph")
-    _check_input(graph, witness)
+    # a graph that stays connected without one of its edges is connected
+    _check_input(graph, witness, connected=stays_connected)
     return witness + tuple(sorted({u, v}.difference(witness)))
 
 
-def _check_input(graph: Graph, witness: tuple[str, ...]) -> None:
-    """Reject an input pair that no transfer starts from."""
-    if not is_connected(graph):
+def _check_input(graph: Graph, witness: tuple[str, ...], connected: bool = False) -> None:
+    """Reject an input pair that no transfer starts from; `connected=True`
+    skips the connectivity check for a graph already known to be connected."""
+    if not connected and not is_connected(graph):
         raise ValueError("witness transfer requires a connected graph")
     if not is_resolving(graph, witness):
         raise NotResolvingError("witness does not resolve the input graph")

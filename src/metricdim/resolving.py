@@ -138,6 +138,20 @@ def _min_size_from_degree(delta: int) -> int:
     return k
 
 
+def _one_covers(pairs: list[int], taken: int, allowed: int) -> bool:
+    """Whether one vertex of `allowed` separates every pair that `taken` does not.
+
+    `pairs` are separator bitmasks and `taken` a vertex bitmask (0: none);
+    the AND stops at the first pair that leaves no candidate.
+    """
+    for mask in pairs:
+        if not mask & taken:
+            allowed &= mask
+            if not allowed:
+                return False
+    return True
+
+
 def metric_dimension_exact(
     graph: Graph,
     max_k: int | None = None,
@@ -158,10 +172,11 @@ def metric_dimension_exact(
     the least vertex after the previous one from which the rest can still
     be covered by later vertices. `nodes_explored` counts the feasibility
     nodes of both phases; the first-k0 check counts none when it fails.
-    Raises Exceeded when no resolving set of size <= max_k exists (at once
-    when max_k < k0), and Budget when the node or time budget runs out
-    first; the time budget also covers building the distance rows and
-    separators. A NaN time budget raises ValueError; inf sets no limit.
+    Raises ExceededError when no resolving set of size <= max_k exists (at
+    once when max_k < k0), and BudgetError when the node or time budget
+    runs out first; the time budget also covers building the distance
+    rows and separators. A NaN time budget raises ValueError; inf sets no
+    limit.
     """
     if time_budget is not None and math.isnan(time_budget):
         raise ValueError(f"time budget {time_budget} is not a number")
@@ -199,6 +214,13 @@ def metric_dimension_exact(
 
     nodes = 0
 
+    def visit() -> None:
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetError(f"node budget {node_budget} exhausted")
+        check_time()
+
     def feasible(uncovered: list[int], allowed: int, need: int) -> bool:
         """Whether at most `need` vertices of `allowed` separate every pair in `uncovered`.
 
@@ -206,24 +228,17 @@ def metric_dimension_exact(
         separator in ascending order; a tried separator is left out of
         `allowed` for its later siblings. The stack holds one frame per open
         node: its pairs, the vertices its children may still use, their
-        need, and its untried separators.
+        need, and its untried separators. Children that need one vertex are
+        tested in place, against the parent's pairs, without building their
+        own pair list; each still counts as a node and checks both budgets.
         """
-        nonlocal nodes
         stack: list[tuple[list[int], int, int, int]] = []
         while True:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetError(f"node budget {node_budget} exhausted")
-            check_time()
+            visit()
             if not uncovered:
                 return True
             if need == 1:
-                common = allowed
-                for mask in uncovered:
-                    common &= mask
-                    if not common:
-                        break
-                if common:
+                if _one_covers(uncovered, 0, allowed):
                     return True
             elif need > 1:
                 counts = [(mask & allowed).bit_count() for mask in uncovered]
@@ -233,7 +248,15 @@ def metric_dimension_exact(
                     stack.append((uncovered, allowed, need - 1, hardest & allowed))
             while stack:
                 parent, allowed, need, untried = stack.pop()
-                if untried:
+                if need == 1:  # test each child in place, building no pair list
+                    while untried:
+                        vertex = untried & -untried
+                        untried ^= vertex
+                        allowed ^= vertex
+                        visit()
+                        if _one_covers(parent, vertex, allowed):
+                            return True
+                elif untried:
                     break
             else:
                 return False

@@ -140,6 +140,24 @@ def test_removal_endpoints_already_in_witness():
     assert is_resolving(remove_edge(g, "v0_0", "v0_1"), bigger)
 
 
+def test_connected_removal_reads_only_witness_rows_of_input(monkeypatch):
+    g = cycle_graph(6)
+    witness = ("c1", "c2")
+    sources = []
+    distances = Graph.distances
+
+    def counting_distances(graph, source):
+        if graph is g:
+            sources.append(source)
+        return distances(graph, source)
+
+    monkeypatch.setattr(Graph, "distances", counting_distances)
+    assert augment_removal(g, witness, "c3", "c4") == ("c1", "c2", "c3", "c4")
+    # the edited path is connected, so the input's connectivity needs no
+    # row of its own: c0 is the first vertex and not a landmark
+    assert sources and set(sources) <= set(witness)
+
+
 def test_removal_errors():
     c4 = cycle_graph(4)
     with pytest.raises(ValueError, match="not present"):

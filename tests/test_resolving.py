@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import connected_graph_from_seed, stack_depth
 from metricdim.errors import BudgetError, ExceededError
-from metricdim.families import KiteSpec, StripSpec, kite_graph, strip_canonical_set, strip_graph
+from metricdim.families import (
+    KiteSpec,
+    NonbinarySpec,
+    StripSpec,
+    kite_graph,
+    nonbinary_graph,
+    strip_canonical_set,
+    strip_graph,
+)
 from metricdim.generators import (
     complete_bipartite_graph,
     complete_graph,
@@ -25,6 +33,7 @@ from metricdim.resolving import (
     metric_dimension_exact,
     metric_dimension_reference,
 )
+from metricdim.ternary import canonical_conflict_free
 
 
 def test_metric_code_on_path(abc_path):
@@ -205,11 +214,37 @@ def test_max_k_below_the_bound_fails_before_preparation(row_sources):
     assert len(set(row_sources)) <= 1  # the connectivity check's row only
 
 
+def _kite_plus_edge(branches):
+    kite, _, missing = kite_graph(KiteSpec(branches, 4))
+    return add_edge(kite, *missing)
+
+
+def _pages_plus_edge(d):
+    graph, _, missing = nonbinary_graph(NonbinarySpec(d, canonical_conflict_free(d)))
+    return add_edge(graph, *missing)
+
+
 def test_search_nodes_on_misses():
-    # the first k0 labels do not resolve these, so the whole search runs
-    kite, _, missing = kite_graph(KiteSpec(5, 4))
-    for graph, nodes in ((add_edge(kite, *missing), 3_358), (strip_graph(StripSpec(1, True, 100)), 110)):
-        assert metric_dimension_exact(graph).nodes_explored == nodes
+    # the first k0 labels do not resolve these, so the whole search runs;
+    # nodes and witnesses of the benchmark's dim-families instances
+    cases = (
+        (_kite_plus_edge(5), 3_358, "a1 a2 a3 a4 d1_0 d2_0 d3_0 d4_0 d5_0"),
+        (strip_graph(StripSpec(1, True, 100)), 110, "v0_0 v0_1 v11_0"),
+        (_pages_plus_edge(2), 11_498, "a_00 a_01 a_10 a_11 b_02 b_20 p_12_1"),
+        (strip_graph(StripSpec(2, True, 40)), 7_208, "v0_0 v0_1 v10_0 v10_1 v11_0"),
+        (random_connected_graph(random.Random(50), 50, 0.1), 10_141, "n10 n3 n38 n45 n47"),
+    )
+    for graph, nodes, witness in cases:
+        result = metric_dimension_exact(graph)
+        assert (result.nodes_explored, result.witness) == (nodes, tuple(witness.split()))
+
+
+def test_node_budget_boundary_on_kite():
+    # kite-5+edge takes 3,358 nodes; children that need one vertex count too
+    graph = _kite_plus_edge(5)
+    with pytest.raises(BudgetError, match="node budget 3357 exhausted"):
+        metric_dimension_exact(graph, node_budget=3_357)
+    assert metric_dimension_exact(graph, node_budget=3_358) == metric_dimension_exact(graph)
 
 
 def test_exact_search_does_not_recurse():
