@@ -46,12 +46,6 @@ class ClaimReport:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class Claim:
-    claim_id: str
-    fn: Callable[[int], str]
-
-
 def _rng(seed: int, claim_id: str) -> random.Random:
     return random.Random(f"{seed}/{claim_id}")
 
@@ -306,10 +300,7 @@ def _named_corpus() -> list[tuple[str, Graph]]:
         corpus.append((f"strip-{i}-primed-8", families.strip_graph(spec)))
     kite, _, _ = families.kite_graph(families.KiteSpec())
     corpus.append(("kite-5-4", kite))
-    pages, _, _ = families.nonbinary_graph(
-        families.NonbinarySpec(2, ternary.canonical_conflict_free(2))
-    )
-    corpus.append(("pages-d2", pages))
+    corpus.append(("pages-d2", _canonical_pages_d2()[1]))
     return corpus
 
 
@@ -478,28 +469,28 @@ def claim_exact_audit(seed: int) -> str:
     return f"pruned and unpruned searches agree on {len(sample)} graphs"
 
 
-CLAIMS: tuple[Claim, ...] = (
-    Claim("corpus.degree-bound", claim_corpus_degree_bound),
-    Claim("exact.audit", claim_exact_audit),
-    Claim("kite.dimensions", claim_kite_dimensions),
-    Claim("kite.witness-flip", claim_kite_witness_flip),
-    Claim("ladder.dimension", claim_ladder_dimension),
-    Claim("nonbinary.block-bound", claim_nonbinary_block_bound),
-    Claim("nonbinary.exact-dim", claim_nonbinary_exact_dim),
-    Claim("nonbinary.ramp-codes", claim_nonbinary_ramp_codes),
-    Claim("nonbinary.resolving", claim_nonbinary_resolving),
-    Claim("perturb.removal-bound", claim_perturb_removal_bound),
-    Claim("perturb.soundness", claim_perturb_soundness),
-    Claim("strip.canonical-resolves", claim_strip_canonical_resolves),
-    Claim("strip.oracle-bfs", claim_strip_oracle_bfs),
-    Claim("strip.sequence-laws", claim_strip_sequence_laws),
-    Claim("strip.sequences", claim_strip_sequences),
-    Claim("strip.unresolved-pair", claim_strip_unresolved_pair),
-    Claim("tail.sandwich", claim_tail_sandwich),
-    Claim("ternary.canonical", claim_ternary_canonical),
-    Claim("ternary.max-n4", claim_ternary_max_n4),
-    Claim("ternary.max-small", claim_ternary_max_small),
-)
+CLAIMS: dict[str, Callable[[int], str]] = {
+    "corpus.degree-bound": claim_corpus_degree_bound,
+    "exact.audit": claim_exact_audit,
+    "kite.dimensions": claim_kite_dimensions,
+    "kite.witness-flip": claim_kite_witness_flip,
+    "ladder.dimension": claim_ladder_dimension,
+    "nonbinary.block-bound": claim_nonbinary_block_bound,
+    "nonbinary.exact-dim": claim_nonbinary_exact_dim,
+    "nonbinary.ramp-codes": claim_nonbinary_ramp_codes,
+    "nonbinary.resolving": claim_nonbinary_resolving,
+    "perturb.removal-bound": claim_perturb_removal_bound,
+    "perturb.soundness": claim_perturb_soundness,
+    "strip.canonical-resolves": claim_strip_canonical_resolves,
+    "strip.oracle-bfs": claim_strip_oracle_bfs,
+    "strip.sequence-laws": claim_strip_sequence_laws,
+    "strip.sequences": claim_strip_sequences,
+    "strip.unresolved-pair": claim_strip_unresolved_pair,
+    "tail.sandwich": claim_tail_sandwich,
+    "ternary.canonical": claim_ternary_canonical,
+    "ternary.max-n4": claim_ternary_max_n4,
+    "ternary.max-small": claim_ternary_max_small,
+}
 
 
 def run_verify_suite(
@@ -518,18 +509,18 @@ def run_verify_suite(
     """
     if math.isnan(budget):
         raise ValueError(f"budget {budget} is not a number")
-    selected = [claim for claim in CLAIMS if claim.claim_id.startswith(prefix)]
+    selected = [(cid, fn) for cid, fn in CLAIMS.items() if cid.startswith(prefix)]
     if not selected:
         raise ValueError(f"no claim id starts with {prefix!r}")
     reports: list[ClaimReport] = []
     remaining = budget
-    for claim in selected:
+    for claim_id, fn in selected:
         if remaining <= 0:
-            reports.append(ClaimReport(claim.claim_id, "SKIPPED", f"budget {budget:g}s spent", 0.0))
+            reports.append(ClaimReport(claim_id, "SKIPPED", f"budget {budget:g}s spent", 0.0))
             continue
         start = time.perf_counter()
         try:
-            details = claim.fn(seed)
+            details = fn(seed)
             status = "PASS"
         except ClaimFailure as exc:
             details, status = str(exc), "FAIL"
@@ -537,5 +528,5 @@ def run_verify_suite(
             details, status = f"{type(exc).__name__}: {exc}", "ERROR"
         elapsed = time.perf_counter() - start
         remaining -= elapsed
-        reports.append(ClaimReport(claim.claim_id, status, details, elapsed))
+        reports.append(ClaimReport(claim_id, status, details, elapsed))
     return reports

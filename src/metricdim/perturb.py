@@ -51,8 +51,6 @@ def augment_addition(
         raise ValueError(f"self-loop at {u!r}")
     if graph.has_edge(u, v):
         raise ValueError(f"edge {u!r} -- {v!r} already present")
-    for w in witness:
-        graph.index_of(w)
     _check_input(graph, witness)
     verts = graph.vertices()
     iu, iv = graph.index_of(u), graph.index_of(v)
@@ -88,7 +86,11 @@ def augment_removal(
 
 def _check_input(graph: Graph, witness: tuple[str, ...], connected: bool = False) -> None:
     """Reject an input pair that no transfer starts from; `connected=True`
-    skips the connectivity check for a graph already known to be connected."""
+    skips the connectivity check for a graph already known to be connected.
+    A witness that lists a vertex twice is rejected first, reading no row."""
+    if len(set(witness)) < len(witness):
+        twice = next(w for w in witness if witness.count(w) > 1)
+        raise ValueError(f"witness lists {twice!r} twice")
     if not connected and not is_connected(graph):
         raise ValueError("witness transfer requires a connected graph")
     if not is_resolving(graph, witness):

@@ -196,22 +196,12 @@ def metric_dimension_exact(
         max_k = max(1, n - 1)
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    if n == 1:
-        return DimensionResult(1, verts, True, 0)
     k0 = _min_size_from_degree(max_degree(graph))
     if k0 == 1 and graph.edge_count != n - 1:
         k0 = 2  # connected with degree <= 2 but not a path: a cycle, dimension 2
     if k0 > max_k:
         raise ExceededError(f"no resolving set of size <= {max_k}")
     check_time()
-    # k0 is a lower bound and no k0-set precedes the first k0 labels, so if
-    # they resolve they are the lex-least minimum witness: one node.
-    if is_resolving(graph, verts[:k0]):
-        if node_budget is not None and node_budget < 1:
-            raise BudgetError(f"node budget {node_budget} exhausted")
-        return DimensionResult(k0, verts[:k0], True, 1)
-    pairs = _pair_separators(graph, check_time)
-
     nodes = 0
 
     def visit() -> None:
@@ -220,6 +210,14 @@ def metric_dimension_exact(
         if node_budget is not None and nodes > node_budget:
             raise BudgetError(f"node budget {node_budget} exhausted")
         check_time()
+
+    # k0 is a lower bound and no k0-set precedes the first k0 labels, so if
+    # they resolve they are the lex-least minimum witness: one node. A
+    # one-vertex graph (the trivial path, k0 = 1) always ends here.
+    if is_resolving(graph, verts[:k0]):
+        visit()
+        return DimensionResult(k0, verts[:k0], True, nodes)
+    pairs = _pair_separators(graph, check_time)
 
     def feasible(uncovered: list[int], allowed: int, need: int) -> bool:
         """Whether at most `need` vertices of `allowed` separate every pair in `uncovered`.

@@ -1,5 +1,7 @@
+import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,10 +69,23 @@ def test_non_bridges_does_not_recurse():
 
 
 def test_registry_order_and_acceptance_coverage():
-    ids = [claim.claim_id for claim in CLAIMS]
+    ids = list(CLAIMS)
     # unique and in claim-id order, the order `run_verify_suite` runs them in
     assert ids == sorted(set(ids))
     # every claim belongs to exactly one acceptance criterion, and no row
     # names a claim the registry lacks
     named = [cid for *_, claim_ids in CRITERIA for cid in claim_ids]
     assert sorted(named) == ids
+
+
+def test_registry_matches_benchmark_gate():
+    # the verify-suite benchmark gates on its own copy of the ids; read it
+    # from the source, without importing the benchmark
+    source = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    (gate_ids,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["CLAIM_IDS"]
+    ]
+    assert tuple(CLAIMS) == gate_ids

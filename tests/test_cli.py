@@ -188,6 +188,17 @@ def test_perturb_checks_input_without_edits(capsys, tmp_path, edits, witness, co
     assert capsys.readouterr() == (out, err)
 
 
+def test_perturb_rejects_a_repeated_witness_vertex(capsys, tmp_path):
+    (tmp_path / "g").write_text("a b\nb c\nc d\n")
+    (tmp_path / "edits").write_text("add a c\n")
+    argv = ("perturb", str(tmp_path / "g"), "--edits", str(tmp_path / "edits"), "--witness")
+    code, payload = run_json(capsys, *argv, "a")
+    assert code == 0 and payload["trace"][0]["witness_size"] == 3
+    # listed twice, `a` would have been counted twice in witness_size
+    assert main([*argv, "a", "a"]) == 2
+    assert capsys.readouterr() == ("", "error: witness lists 'a' twice\n")
+
+
 def test_ternary_commands(capsys, tmp_path):
     code, out = run_cli(capsys, "ternary", "canonical", "--n", "1")
     assert code == 0
@@ -250,11 +261,11 @@ def test_verify_reports_crashing_claim_and_continues(capsys, monkeypatch):
     def crash(seed):
         raise KeyError("missing")
 
-    monkeypatch.setattr(claims, "CLAIMS", [
-        claims.Claim("a.first", lambda seed: "ok"),
-        claims.Claim("b.crash", crash),
-        claims.Claim("c.last", lambda seed: "ok"),
-    ])
+    monkeypatch.setattr(claims, "CLAIMS", {
+        "a.first": lambda seed: "ok",
+        "b.crash": crash,
+        "c.last": lambda seed: "ok",
+    })
     code, payload = run_json(capsys, "verify", "--format", "json")
     assert code == 4
     reports = payload["reports"]
@@ -397,6 +408,19 @@ def test_payload_bytes(capsys, tmp_path, path_file):
   "dimension": 1,
   "witness": [
     "p0"
+  ],
+  "exhaustive": true,
+  "nodes_explored": 1
+}
+""")
+    single = tmp_path / "single.edges"
+    single.write_text("v\n")  # a one-vertex graph is a first-k0 hit: one node
+    assert run_cli(capsys, "dim", str(single)) == (0, """\
+{
+  "schema": "metric-dim/1",
+  "dimension": 1,
+  "witness": [
+    "v"
   ],
   "exhaustive": true,
   "nodes_explored": 1

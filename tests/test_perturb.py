@@ -116,6 +116,11 @@ def test_addition_errors(abc_path):
         augment_addition(cycle_graph(4), ("c0",), "c0", "c2")
     with pytest.raises(ValueError, match="witness transfer requires a connected graph"):
         augment_addition(build_graph([("a", "b"), ("c", "d")]), ("a", "c"), "a", "c")
+    # the connectivity check comes before any witness label is looked up
+    with pytest.raises(ValueError, match="witness transfer requires a connected graph"):
+        augment_addition(build_graph([("a", "b"), ("c", "d")]), ("zz",), "a", "c")
+    with pytest.raises(ValueError, match="^no vertex 'zz'$"):
+        augment_addition(abc_path, ("zz",), "a", "c")
 
 
 def test_removal_on_cycle():
@@ -170,6 +175,28 @@ def test_removal_errors():
         augment_removal(two_parts, ("a", "b", "d"), "a", "b")
     with pytest.raises(NotResolvingError):
         augment_removal(cycle_graph(5), ("c0",), "c0", "c1")
+
+
+@pytest.mark.parametrize("transfer, witness", [
+    (lambda g, w: augment_addition(g, w, "c0", "c2"), ("c0", "c1", "c0")),
+    (lambda g, w: augment_removal(g, w, "c2", "c3"), ("c1", "c0", "c1")),
+    (lambda g, w: apply_edit_sequence(g, w, []), ("c0", "c1", "c1")),
+], ids=["addition", "removal", "no-edit"])
+def test_transfer_rejects_a_repeated_witness_vertex(monkeypatch, transfer, witness):
+    g = cycle_graph(4)
+    sources = []
+    distances = Graph.distances
+
+    def counting_distances(graph, source):
+        if graph is g:
+            sources.append(source)
+        return distances(graph, source)
+
+    monkeypatch.setattr(Graph, "distances", counting_distances)
+    repeated = witness[-1]
+    with pytest.raises(ValueError, match=f"^witness lists '{repeated}' twice$"):
+        transfer(g, witness)
+    assert sources == []  # rejected before any row of the input is read
 
 
 def test_empty_sequence_returns_input(abc_path):

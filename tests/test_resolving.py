@@ -26,6 +26,7 @@ from metricdim.generators import (
 )
 from metricdim.graph import Graph, add_edge, bfs_distances, build_graph
 from metricdim.resolving import (
+    DimensionResult,
     block_lower_bound_check,
     find_unresolved_pair,
     is_resolving,
@@ -114,10 +115,13 @@ def test_exact_path_dimension_one():
 
 def test_exact_degenerate_graphs():
     single = path_graph(1)
-    assert metric_dimension_exact(single).witness == ("p0",)
+    # the trivial path is a first-k0 hit like any other: one node
+    assert metric_dimension_exact(single) == DimensionResult(1, ("p0",), True, 1)
+    with pytest.raises(BudgetError):
+        metric_dimension_exact(single, node_budget=0)
     assert metric_dimension_reference(single).witness == ("p0",)
     empty = build_graph([])
-    assert metric_dimension_exact(empty).dimension == 0
+    assert metric_dimension_exact(empty) == DimensionResult(0, (), True, 0)
 
 
 def test_exact_small_goldens():
