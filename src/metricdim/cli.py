@@ -122,10 +122,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
     elif args.family == "nonbinary":
         if args.canonical:
             strings = ternary.canonical_conflict_free(args.d)
-        elif args.strings:
-            strings = _load_strings(args.strings)
         else:
-            raise ValueError("nonbinary needs --canonical or --strings FILE")
+            strings = _load_strings(args.strings)
         built = families.nonbinary_graph(families.NonbinarySpec(args.d, strings))
         header = [f"nonbinary d={args.d} pages={len(strings)}"]
         extra = {"family": "nonbinary", "d": args.d, "strings": list(strings)}
@@ -180,7 +178,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     statuses = {r.status for r in reports}
     if "ERROR" in statuses:
         return EXIT_INTERNAL
-    return EXIT_FALSE if "FAIL" in statuses else EXIT_OK
+    if "FAIL" in statuses:
+        return EXIT_FALSE
+    # a skipped claim was not checked: the run is not a pass
+    return EXIT_BUDGET if "SKIPPED" in statuses else EXIT_OK
 
 
 @cache
@@ -225,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     strip.add_argument("--cols", type=int, required=True)
     nonbinary = fam_sub.add_parser("nonbinary")
     nonbinary.add_argument("--d", type=int, required=True)
-    nonbinary.add_argument("--canonical", action="store_true")
-    nonbinary.add_argument("--strings", help="file of page strings, one per line")
+    pages = nonbinary.add_mutually_exclusive_group(required=True)
+    pages.add_argument("--canonical", action="store_true")
+    pages.add_argument("--strings", help="file of page strings, one per line")
     kite = fam_sub.add_parser("kite")
     kite.add_argument("--branches", type=int, default=families.KiteSpec.branches)
     kite.add_argument("--tail-len", type=int, default=families.KiteSpec.tail_len)

@@ -1,13 +1,13 @@
 """Undirected simple graphs over string labels.
 
 A graph is frozen once built: edits return new values, so a graph and its
-edited variant can be held side by side. Its edges are stored once, as each
-vertex's sorted neighbour indices into the sorted labels. Index order is
-label order, so every label view (neighbours, edges) is read off those
-integers already sorted, which makes every iteration order (and everything
-derived from one) deterministic. Labels are checked once, when a graph is
-built; an edit keeps its parent's vertex set, so it reuses the parent's
-labels and index and checks nothing again.
+edited variant can be held side by side. Its edges are stored once, as one
+neighbour bitmask per vertex over the positions of the sorted labels. Bit
+order is label order, so every label view (neighbours, edges) is read off
+those bits lowest first already sorted, which makes every iteration order
+(and everything derived from one) deterministic. Labels are checked once,
+when a graph is built; an edit keeps its parent's vertex set, so it reuses
+the parent's labels and index and checks nothing again.
 """
 
 from __future__ import annotations
@@ -50,32 +50,28 @@ class Graph:
     """Immutable undirected simple graph.
 
     Not a checking constructor: graphs come from `build_graph` (or the
-    parser, generators and families built on it) and from the edits.
-    Neighbours are held only as vertex indices (positions in `vertices()`);
-    the label views are derived from them. `distances(source)` runs its BFS
-    over those integers the first time a source is asked for, then caches
-    the row. On a dense graph (average degree at least `_DENSE_DEGREE`) the
-    BFS runs level by level on neighbour bitmasks, built on the first row.
-    Edits build a new graph with an empty cache and no masks, so neither a
-    row nor a mask outlives the edges it was measured on.
+    parser, generators and families built on it) and from the edits. The
+    adjacency is one integer per vertex: bit j of `_masks[i]` is set iff the
+    vertices at positions i and j of `vertices()` are adjacent; the label
+    views are derived from those bits. `distances(source)` runs a
+    level-by-level BFS on the masks the first time a source is asked for,
+    then caches the row. Edits build a new graph with an empty cache, so no
+    row outlives the edges it was measured on.
     """
 
-    __slots__ = ("_index", "_masks", "_nbrs", "_rows", "_verts")
+    __slots__ = ("_index", "_masks", "_rows", "_verts")
 
-    def __init__(
-        self, verts: tuple[str, ...], index: dict[str, int], nbrs: tuple[tuple[int, ...], ...]
-    ) -> None:
+    def __init__(self, verts: tuple[str, ...], index: dict[str, int], masks: list[int]) -> None:
         """Wrap fields that are already valid, without checking them.
 
         `verts` are sorted, checked labels and `index` maps each to its
-        position; `nbrs` holds each vertex's sorted, symmetric, loop-free
-        neighbour indices.
+        position; `masks` holds each vertex's symmetric, loop-free neighbour
+        bitmask. The list is never mutated once wrapped.
         """
         self._verts = verts
         self._index = index
-        self._nbrs = nbrs
+        self._masks = masks
         self._rows: dict[str, tuple[Distance, ...]] = {}
-        self._masks: list[int] | None = None  # decided on the first row; [] if sparse
 
     @property
     def vertex_count(self) -> int:
@@ -83,28 +79,27 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self._nbrs)) // 2
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def vertices(self) -> tuple[str, ...]:
         return self._verts
 
     def neighbors(self, vertex: str) -> tuple[str, ...]:
-        return tuple(map(self._verts.__getitem__, self._nbrs[self.index_of(vertex)]))
+        return tuple(map(self._verts.__getitem__, _bits(self._masks[self.index_of(vertex)])))
 
     def degree(self, vertex: str) -> int:
-        return len(self._nbrs[self.index_of(vertex)])
+        return self._masks[self.index_of(vertex)].bit_count()
 
     def has_edge(self, u: str, v: str) -> bool:
         i = self.index_of(u)
-        return self.index_of(v) in self._nbrs[i]
+        return self._masks[i] >> self.index_of(v) & 1 == 1
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Edges as (smaller, larger) label pairs, in lexicographic order."""
         verts = self._verts
-        for i, neighbors in enumerate(self._nbrs):
-            for j in neighbors:
-                if i < j:
-                    yield (verts[i], verts[j])
+        for i, mask in enumerate(self._masks):
+            for j in _bits(mask >> i << i):  # only the neighbours above i
+                yield (verts[i], verts[j])
 
     def index_of(self, vertex: str) -> int:
         """Position of `vertex` in `vertices()` and in every distance row."""
@@ -122,34 +117,22 @@ class Graph:
         row = self._rows.get(source)
         if row is None:
             start = self.index_of(source)
-            nbrs = self._nbrs
-            dist: list[Distance] = [UNREACHABLE] * len(nbrs)
-            dist[start] = 0
             masks = self._masks
-            if masks is None:
-                masks = self._masks = _dense_masks(nbrs)
-            if masks:
-                # level by level: `reach` is every neighbour of the frontier,
-                # and the next frontier is what no earlier level has seen
-                seen, reach, d = 1 << start, masks[start], 0
-                while new := reach & ~seen:
-                    d += 1
-                    seen |= new
-                    reach = 0
-                    while new:  # visit the new frontier lowest bit first
-                        low = new & -new
-                        y = low.bit_length() - 1
-                        dist[y] = d
-                        reach |= masks[y]
-                        new ^= low
-            else:
-                queue = [start]
-                for x in queue:  # the list grows while it is walked: a FIFO queue
-                    dx = dist[x] + 1
-                    for y in nbrs[x]:
-                        if dist[y] is UNREACHABLE:
-                            dist[y] = dx
-                            queue.append(y)
+            dist: list[Distance] = [UNREACHABLE] * len(masks)
+            dist[start] = 0
+            # level by level: `reach` is every neighbour of the frontier,
+            # and the next frontier is what no earlier level has seen
+            unseen = ((1 << len(masks)) - 1) ^ (1 << start)
+            reach, d = masks[start], 0
+            while new := reach & unseen:
+                d += 1
+                unseen ^= new
+                reach = 0
+                while new:  # highest bit first; order within a level moves no distance
+                    y = new.bit_length() - 1
+                    dist[y] = d
+                    reach |= masks[y]
+                    new ^= 1 << y
             row = self._rows[source] = tuple(dist)
         return row
 
@@ -159,23 +142,21 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._verts == other._verts and self._nbrs == other._nbrs
+        return self._verts == other._verts and self._masks == other._masks
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
 
 
-# Average degree from which rows are computed on neighbour bitmasks: below
-# it, a list BFS touches few edges per vertex and beats the bit operations.
-_DENSE_DEGREE = 16
-
-
-def _dense_masks(nbrs: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Each vertex's neighbours as a bitmask, or [] if the graph is sparse."""
-    if sum(map(len, nbrs)) < _DENSE_DEGREE * len(nbrs):
-        return []
-    bits = [1 << i for i in range(len(nbrs))]
-    return [sum(map(bits.__getitem__, nb)) for nb in nbrs]  # distinct bits: sum is OR
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    found = []
+    while mask:  # taken highest first, which needs no negation per bit
+        y = mask.bit_length() - 1
+        found.append(y)
+        mask ^= 1 << y
+    found.reverse()
+    return found
 
 
 def build_graph(
@@ -205,8 +186,10 @@ def build_graph(
         validate_label(label)
     verts = tuple(sorted(staged))
     index = {v: i for i, v in enumerate(verts)}
-    nbrs = tuple(tuple(sorted(map(index.__getitem__, staged[v]))) for v in verts)
-    return Graph(verts, index, nbrs)
+    bits = [1 << i for i in range(len(verts))]
+    # distinct bits: their sum is their OR
+    masks = [sum(map(bits.__getitem__, map(index.__getitem__, staged[v]))) for v in verts]
+    return Graph(verts, index, masks)
 
 
 def add_edge(graph: Graph, u: str, v: str) -> Graph:
@@ -215,11 +198,7 @@ def add_edge(graph: Graph, u: str, v: str) -> Graph:
         raise ValueError(f"self-loop at {u!r}")
     if graph.has_edge(u, v):
         raise ValueError(f"edge {u!r} -- {v!r} already present")
-    i, j = graph._index[u], graph._index[v]
-    nbrs = list(graph._nbrs)
-    nbrs[i] = tuple(sorted(nbrs[i] + (j,)))
-    nbrs[j] = tuple(sorted(nbrs[j] + (i,)))
-    return Graph(graph._verts, graph._index, tuple(nbrs))
+    return _flip(graph, u, v)
 
 
 def remove_edge(graph: Graph, u: str, v: str) -> Graph:
@@ -228,11 +207,16 @@ def remove_edge(graph: Graph, u: str, v: str) -> Graph:
         raise ValueError(f"self-loop at {u!r}")
     if not graph.has_edge(u, v):
         raise ValueError(f"edge {u!r} -- {v!r} not present")
+    return _flip(graph, u, v)
+
+
+def _flip(graph: Graph, u: str, v: str) -> Graph:
+    """A new graph on `graph`'s vertices with the pair (u, v) toggled."""
     i, j = graph._index[u], graph._index[v]
-    nbrs = list(graph._nbrs)
-    nbrs[i] = tuple(x for x in nbrs[i] if x != j)
-    nbrs[j] = tuple(x for x in nbrs[j] if x != i)
-    return Graph(graph._verts, graph._index, tuple(nbrs))
+    masks = graph._masks.copy()  # the parent's list is never mutated
+    masks[i] ^= 1 << j
+    masks[j] ^= 1 << i
+    return Graph(graph._verts, graph._index, masks)
 
 
 def bfs_distances(graph: Graph, source: str) -> dict[str, Distance]:
@@ -250,7 +234,7 @@ def is_connected(graph: Graph) -> bool:
 
 
 def max_degree(graph: Graph) -> int:
-    return max(map(len, graph._nbrs), default=0)
+    return max(map(int.bit_count, graph._masks), default=0)
 
 
 def parse_edge_list(text: str) -> Graph:

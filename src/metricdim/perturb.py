@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NotResolvingError
 from .graph import Graph, add_edge, is_connected, remove_edge
@@ -32,7 +32,7 @@ class EditStep:
     v: str
 
 
-EditSequence = Sequence[EditStep]
+EditSequence = Iterable[EditStep]  # a list or any one-shot iterator
 
 
 def augment_addition(
@@ -104,13 +104,11 @@ def apply_edit_sequence(
 
     Returns the trajectory [(G_0, W_0), (G_1, W_1), ...] starting from the
     input pair; step t's witness is built from step t-1's by the matching
-    public augmentation, which also checks its input pair. With no steps,
-    the input pair is checked here.
+    public augmentation, which also checks its input pair. When no step
+    runs (an empty list or iterator), the input pair is checked here.
     """
     current_graph = graph
     current_witness = tuple(witness)
-    if not steps:
-        _check_input(current_graph, current_witness)
     trajectory = [(current_graph, current_witness)]
     for step in steps:
         if step.op is EditOp.ADD:
@@ -120,6 +118,8 @@ def apply_edit_sequence(
             current_witness = augment_removal(current_graph, current_witness, step.u, step.v)
             current_graph = remove_edge(current_graph, step.u, step.v)
         trajectory.append((current_graph, current_witness))
+    if len(trajectory) == 1:
+        _check_input(current_graph, current_witness)
     return trajectory
 
 

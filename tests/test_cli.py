@@ -115,6 +115,18 @@ def test_family_nonbinary_strings_file(capsys, tmp_path):
     assert parse_edge_list(from_file) == parse_edge_list(canonical)
 
 
+@pytest.mark.parametrize("pages", [[], ["--canonical", "--strings", "FILE"]])
+def test_family_nonbinary_needs_exactly_one_page_source(capsys, tmp_path, pages):
+    # a strings file next to --canonical must not be silently ignored
+    strings = tmp_path / "pages.txt"
+    strings.write_text("00\n")
+    argv = [str(strings) if arg == "FILE" else arg for arg in pages]
+    assert main(["family", "nonbinary", "--d", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--canonical" in captured.err and "--strings" in captured.err
+
+
 def test_family_tail(capsys, tmp_path, path_file):
     code, out = run_cli(
         capsys, "family", "tail", "--base", path_file, "--attach", "p0", "--len", "2"
@@ -224,8 +236,9 @@ def test_verify_filter_and_json(capsys):
 
 
 def test_verify_budget_zero_skips_expensive(capsys):
+    # a run that skipped a claim did not check it: it exits as over budget
     code, out = run_cli(capsys, "verify", "--budget", "0")
-    assert code == 0
+    assert code == 3
     statuses = [line.split()[0] for line in out.splitlines()]
     assert statuses == ["SKIPPED"] * 20  # no claim starts, however cheap
 
@@ -235,7 +248,7 @@ def test_verify_skip_message_names_a_nonzero_cost(capsys):
     code, payload = run_json(
         capsys, "verify", "--filter", "strip.", "--budget", "1e-9", "--format", "json"
     )
-    assert code == 0
+    assert code == 3
     reports = payload["reports"]
     assert (reports[0]["claim_id"], reports[0]["status"]) == ("strip.canonical-resolves", "PASS")
     assert len(reports) == 5
@@ -248,6 +261,16 @@ def test_verify_budget_fits_every_claim(capsys):
     code, payload = run_json(capsys, "verify", "--budget", "25", "--format", "json")
     assert code == 0
     assert "SKIPPED" not in {r["status"] for r in payload["reports"]}
+
+
+def test_verify_failure_outranks_skips(capsys, monkeypatch):
+    def fail(seed):
+        raise claims.ClaimFailure("does not hold")
+
+    monkeypatch.setattr(claims, "CLAIMS", {"a.fail": fail, "b.skipped": lambda seed: "ok"})
+    code, payload = run_json(capsys, "verify", "--budget", "1e-9", "--format", "json")
+    assert code == 1
+    assert [r["status"] for r in payload["reports"]] == ["FAIL", "SKIPPED"]
 
 
 def test_verify_unknown_filter_is_a_usage_error(capsys):

@@ -15,7 +15,6 @@ from metricdim.generators import (
     random_graph,
 )
 from metricdim.graph import (
-    _DENSE_DEGREE,
     UNREACHABLE,
     Graph,
     add_edge,
@@ -260,19 +259,15 @@ def test_edit_chains_match_reference(seed):
 
 
 def _rows_match_reference(g):
-    """Check every row of `g` against `_reference_bfs`; return whether the
-    rows were computed on neighbour bitmasks."""
+    """Check every row of `g` against `_reference_bfs`."""
     for s in g.vertices():
         assert g.distances(s) == tuple(_reference_bfs(g, s).values())
-    return bool(g._masks)
 
 
 @given(st.integers(20, 60), st.floats(0.6, 0.95), st.integers(0, 10_000))
 @settings(max_examples=12, deadline=None)
 def test_dense_rows_match_reference(n, p, seed):
-    g = random_graph(random.Random(seed), n, p)
-    dense = 2 * g.edge_count >= _DENSE_DEGREE * n
-    assert _rows_match_reference(g) == dense
+    _rows_match_reference(random_graph(random.Random(seed), n, p))
 
 
 def test_dense_rows_mark_other_components_unreachable():
@@ -282,41 +277,27 @@ def test_dense_rows_mark_other_components_unreachable():
         [(side + u, side + v) for side, b in blocks.items() for u, v in b.edges()],
         isolated=["z"],
     )
-    assert _rows_match_reference(g)
+    _rows_match_reference(g)
     row = g.distances("an0")
     assert {row[g.index_of(v)] for v in g.vertices() if v[0] != "a"} == {UNREACHABLE}
     assert max(row[g.index_of(v)] for v in g.vertices() if v[0] == "a") == 2
     assert set(g.distances("z")) == {0, UNREACHABLE}
 
 
-def test_dense_threshold_is_average_degree():
-    # the circulant C_40(1..k) has average degree exactly 2k: at the
-    # threshold it is dense, and one edge fewer makes it sparse
-    n, k = 40, _DENSE_DEGREE // 2
-    labels = [f"v{i:02d}" for i in range(n)]
-    at = build_graph((labels[i], labels[(i + j) % n]) for i in range(n) for j in range(1, k + 1))
-    assert 2 * at.edge_count == _DENSE_DEGREE * n
-    assert _rows_match_reference(at)
-    below = remove_edge(at, labels[0], labels[1])
-    assert not _rows_match_reference(below)
-    assert not _rows_match_reference(build_graph(below.edges()))
-    assert _rows_match_reference(add_edge(below, labels[0], labels[1]))
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=8, deadline=None)
 def test_dense_edit_chains_match_reference(seed):
-    # an edit must not reuse its parent's bitmasks, and must leave the
+    # an edit must not change its parent's bitmasks, and must leave the
     # parent's rows as they were
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(30, 40), rng.uniform(0.8, 0.95))
-    assert _rows_match_reference(g)
+    _rows_match_reference(g)
     verts = g.vertices()
     for _ in range(rng.randint(1, 4)):
         rows = {s: g.distances(s) for s in verts}
         u, v = rng.sample(verts, 2)
         edited = remove_edge(g, u, v) if g.has_edge(u, v) else add_edge(g, u, v)
-        assert _rows_match_reference(edited)
+        _rows_match_reference(edited)
         assert {s: g.distances(s) for s in verts} == rows
         g = edited
 
@@ -372,6 +353,40 @@ def test_label_views_match_a_model(labels, data):
             model[u].add(v)
             model[v].add(u)
         _assert_matches_model(g, model)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=6, deadline=None)
+def test_multiword_masks_match_a_model_under_edits(seed):
+    # 65-130 vertices: each neighbour bitmask spans two or three 64-bit
+    # words, so a view that drops a high word shows here; every edit must
+    # leave its parent's views and rows as they were
+    rng = random.Random(seed)
+    labels, p = [f"v{i}" for i in range(rng.randint(65, 130))], rng.uniform(0.02, 0.2)
+    model = {v: set() for v in labels}
+    edges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :] if rng.random() < p]
+    for u, v in edges:
+        model[u].add(v)
+        model[v].add(u)
+    g = build_graph(edges, isolated=labels)
+    verts = g.vertices()
+    _assert_matches_model(g, model)
+    for _ in range(rng.randint(2, 4)):
+        before = ({s: g.neighbors(s) for s in verts}, {s: g.distances(s) for s in verts})
+        # one end in the second word or above, the other in the first
+        u, v = rng.choice(verts[64:]), rng.choice(verts[:64])
+        if v in model[u]:
+            edited = remove_edge(g, u, v)
+            model[u].discard(v)
+            model[v].discard(u)
+        else:
+            edited = add_edge(g, u, v)
+            model[u].add(v)
+            model[v].add(u)
+        _assert_matches_model(edited, model)
+        assert ({s: g.neighbors(s) for s in verts}, {s: g.distances(s) for s in verts}) == before
+        g = edited
+    _rows_match_reference(g)
 
 
 def test_connectivity_and_degree():

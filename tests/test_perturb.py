@@ -257,6 +257,8 @@ def test_empty_sequence_checks_its_input(abc_path):
         apply_edit_sequence(abc_path, ("zz",), [])
     with pytest.raises(NotResolvingError, match="^witness does not resolve the input graph$"):
         apply_edit_sequence(abc_path, ("b",), [])  # a and c are both at distance 1
+    with pytest.raises(NotResolvingError, match="^witness does not resolve the input graph$"):
+        apply_edit_sequence(path_graph(5), ("p2",), iter([]))  # an empty iterator is truthy
     with pytest.raises(ValueError, match="^witness transfer requires a connected graph$"):
         apply_edit_sequence(build_graph([("a", "b"), ("c", "d")]), ("a", "c"), [])
 
