@@ -2,7 +2,9 @@
 
 Each claim is a self-contained check over the library: fixed distance
 sequences, oracle-versus-BFS sweeps, randomized soundness trials, exact
-search audits. Claims report PASS/FAIL with a detail string; a claim is
+search audits. The maximum-degree bound is checked by its definition, with
+no exact search: no vertex set of the largest size the bound excludes
+resolves. Claims report PASS/FAIL with a detail string; a claim is
 SKIPPED only when the time budget is already spent before it starts.
 Randomized claims derive their generator from the suite seed and
 their own id, so a fixed seed reproduces every trial.
@@ -10,6 +12,7 @@ their own id, so a fixed seed reproduces every trial.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import families, generators, ternary
-from .graph import Distance, Graph, add_edge, bfs_distances, max_degree, remove_edge
+from .graph import Distance, Graph, add_edge, bfs_distances, is_connected, max_degree, remove_edge
 from .perturb import EditOp, EditStep, apply_edit_sequence
 from .resolving import (
     block_lower_bound_check,
@@ -206,34 +209,8 @@ def _random_resolving_witness(rng: random.Random, g: Graph) -> list[str]:
 
 
 def _non_bridges(g: Graph) -> list[tuple[str, str]]:
-    """The edges whose removal leaves `g` connected, in `g.edges()` order.
-
-    One iterative depth-first pass: a tree edge (p, c) is a bridge exactly
-    when no edge from c's subtree reaches p or above (low[c] > disc[p]).
-    """
-    root = g.vertices()[0]
-    disc = {root: 0}
-    low = {root: 0}
-    bridges = set()
-    stack = [(root, None, iter(g.neighbors(root)))]
-    while stack:
-        v, parent, nbrs = stack[-1]
-        for w in nbrs:
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, v, iter(g.neighbors(w))))
-                break
-            if w != parent:
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridges.add((min(parent, v), max(parent, v)))
-    if len(disc) < g.vertex_count:  # disconnected: no removal reconnects it
-        return []
-    return [e for e in g.edges() if e not in bridges]
+    """The edges whose removal leaves `g` connected, in `g.edges()` order."""
+    return [e for e in g.edges() if is_connected(remove_edge(g, *e))]
 
 
 def claim_perturb_soundness(seed: int) -> str:
@@ -250,8 +227,10 @@ def claim_perturb_soundness(seed: int) -> str:
             for b in verts[idx + 1 :]
             if not g.has_edge(a, b)
         ]
-        safe_removals = _non_bridges(g)
-        do_add = (rng.random() < 0.5 and bool(non_edges)) or not safe_removals
+        do_add = rng.random() < 0.5 and bool(non_edges)
+        # the removals are built only when one is drawn; with none, add instead
+        safe_removals = [] if do_add else _non_bridges(g)
+        do_add = do_add or not safe_removals
         if do_add and not non_edges:
             continue
         if do_add:
@@ -317,11 +296,17 @@ def claim_corpus_degree_bound(seed: int) -> str:
         (f"audit-{i}", g) for i, g in enumerate(_audit_sample(seed))
     ]
     for name, g in graphs:
-        k = metric_dimension_exact(g).dimension
-        if max_degree(g) > 3**k - 1:
-            raise ClaimFailure(
-                f"{name}: degree {max_degree(g)} exceeds 3^{k} - 1 = {3 ** k - 1}"
-            )
+        degree = max_degree(g)
+        size = 0  # the largest s with 3^s - 1 < degree, when degree > 0
+        while 3 ** (size + 1) - 1 < degree:
+            size += 1
+        # every smaller set lies inside one of these, so it does not resolve either
+        for witness in itertools.combinations(g.vertices(), size):
+            if degree and is_resolving(g, witness):
+                raise ClaimFailure(
+                    f"{name}: {witness} resolves, but degree {degree} exceeds "
+                    f"3^{size} - 1 = {3 ** size - 1}"
+                )
     return f"degree bound holds on {len(graphs)} corpus graphs"
 
 
