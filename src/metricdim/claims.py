@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import families, generators, ternary
-from .graph import Distance, Graph, add_edge, bfs_distances, is_connected, max_degree, remove_edge
+from .graph import Graph, add_edge, bfs_distances, is_connected, max_degree, remove_edge
 from .perturb import EditOp, EditStep, apply_edit_sequence
 from .resolving import (
+    _code_classes,
     block_lower_bound_check,
     find_unresolved_pair,
     is_resolving,
@@ -188,24 +189,16 @@ def claim_ladder_dimension(seed: int) -> str:
 def _random_resolving_witness(rng: random.Random, g: Graph) -> list[str]:
     """A random sample of `g`'s vertices, grown in random order until it resolves.
 
-    Vertex classes are refined by one landmark row at a time, as
-    `is_resolving` does, so each vertex added costs only its own row.
+    The sample comes first and the other vertices follow in random order;
+    the witness is that order up to the last row `_code_classes` reads,
+    and never shorter than the sample.
     """
-    verts = list(g.vertices())
-    n = len(verts)
-    witness = rng.sample(verts, rng.randint(1, max(1, n // 3)))
+    verts = g.vertices()
+    witness = rng.sample(verts, rng.randint(1, max(1, len(verts) // 3)))
     missing = [v for v in verts if v not in witness]
     rng.shuffle(missing)
-    classes = [0] * n
-    ids: dict[tuple[int, Distance], int] = {}
-    read = 0
-    while len(ids) < n:
-        if read == len(witness):
-            witness.append(missing.pop())
-        ids = {}
-        classes = list(map(ids.setdefault, zip(classes, g.distances(witness[read])), range(n)))
-        read += 1
-    return witness
+    order = witness + missing[::-1]
+    return order[: max(len(witness), _code_classes(g, order)[1])]
 
 
 def _non_bridges(g: Graph) -> list[tuple[str, str]]:
@@ -220,13 +213,7 @@ def claim_perturb_soundness(seed: int) -> str:
         n = rng.randint(4, 12)
         g = generators.random_connected_graph(rng, n, rng.uniform(0.1, 0.5))
         witness = _random_resolving_witness(rng, g)
-        verts = g.vertices()
-        non_edges = [
-            (a, b)
-            for idx, a in enumerate(verts)
-            for b in verts[idx + 1 :]
-            if not g.has_edge(a, b)
-        ]
+        non_edges = [e for e in itertools.combinations(g.vertices(), 2) if not g.has_edge(*e)]
         do_add = rng.random() < 0.5 and bool(non_edges)
         # the removals are built only when one is drawn; with none, add instead
         safe_removals = [] if do_add else _non_bridges(g)

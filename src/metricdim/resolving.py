@@ -60,37 +60,39 @@ def metric_code(
     return tuple(graph.distances(w)[i] for w in landmarks)
 
 
-def _code_classes(graph: Graph, landmarks: Iterable[str]) -> list[int]:
-    """Class of every vertex w.r.t. `landmarks`, indexed like `graph.vertices()`.
+def _code_classes(graph: Graph, landmarks: Iterable[str]) -> tuple[list[int], int]:
+    """Class of every vertex w.r.t. `landmarks`, and the number of rows read.
 
-    Two vertices share a class iff they share a code; a class is named by
-    the least index in it. Every landmark is checked first; rows are then
-    read in landmark order, each splitting the classes by distance, only
-    until every vertex has a class of its own.
+    Classes are indexed like `graph.vertices()`. Two vertices share a class
+    iff they share a code; a class is named by the least index in it. Every
+    landmark is checked first; rows are then read in landmark order, each
+    splitting the classes by distance, only until every vertex has a class
+    of its own.
     """
     landmarks = tuple(landmarks)
     for w in landmarks:
         graph.index_of(w)
     n = graph.vertex_count
     classes = [0] * n
-    for w in landmarks:
+    read = 0
+    for read, w in enumerate(landmarks, 1):
         ids: dict[tuple[int, Distance], int] = {}
         classes = list(map(ids.setdefault, zip(classes, graph.distances(w)), range(n)))
         if len(ids) == n:
             break
-    return classes
+    return classes, read
 
 
 def is_resolving(graph: Graph, landmarks: Iterable[str]) -> bool:
     """Whether all vertices get pairwise distinct codes w.r.t. `landmarks`."""
-    return len(set(_code_classes(graph, landmarks))) == graph.vertex_count
+    return len(set(_code_classes(graph, landmarks)[0])) == graph.vertex_count
 
 
 def find_unresolved_pair(
     graph: Graph, landmarks: Iterable[str]
 ) -> tuple[str, str] | None:
     """Lexicographically least vertex pair sharing a code, or None."""
-    classes = _code_classes(graph, landmarks)
+    classes, _ = _code_classes(graph, landmarks)
     # (least index of the class, a later member): vertices are sorted, so
     # the least such pair is the least unresolved label pair
     pair = min(((c, j) for j, c in enumerate(classes) if c != j), default=None)

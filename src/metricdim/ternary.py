@@ -23,14 +23,11 @@ def validate_ternary(s: str) -> str:
 
 
 def _conflicts(x: str, y: str) -> bool:
-    shared = False
+    """Whether `x` and `y`, which hold 1 at the same positions, share a 2."""
     for cx, cy in zip(x, y):
-        if cx != cy:
-            if cx == "1" or cy == "1":
-                return False
-        elif cx == "2":
-            shared = True
-    return shared
+        if cx == "2" and cy == "2":
+            return True
+    return False
 
 
 def _ones(s: str) -> str:

@@ -42,6 +42,12 @@ def test_dim_exceeded_max_k(capsys, tmp_path):
     target.write_text("c0 c1\nc1 c2\nc2 c3\nc3 c4\nc4 c0\n")
     code = main(["dim", str(target), "--max-k", "1"])
     assert code == 1
+    assert capsys.readouterr().err == "error: no resolving set of size <= 1\n"
+    # K6: k0 = 2 passes --max-k 4, so the search refutes sizes 2..4 first
+    target = tmp_path / "k6.edges"
+    target.write_text("".join(f"k{i} k{j}\n" for i in range(6) for j in range(i + 1, 6)))
+    assert main(["dim", str(target), "--max-k", "4"]) == 1
+    assert capsys.readouterr() == ("", "error: no resolving set of size <= 4\n")
 
 
 def test_check_exit_codes(capsys, path_file):
@@ -334,6 +340,8 @@ REJECTED_INPUTS = {
         {"g": PATH_EDGES}, ("check", "g", "zz"), "error: no vertex 'zz'\n"),
     "dim-self-loop": (
         {"g": "a b\nb b\n"}, ("dim", "g"), "error: self-loop at 'b'\n"),
+    "dim-max-k-zero": (
+        {"g": PATH_EDGES}, ("dim", "g", "--max-k", "0"), "error: max_k must be at least 1\n"),
     "perturb-disconnecting-remove": (
         {"g": PATH_EDGES, "edits": "remove p1 p2\n"},
         ("perturb", "g", "--witness", "p0", "--edits", "edits"),

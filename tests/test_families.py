@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -265,6 +266,26 @@ def test_tail_graph_errors():
     clash_base = tail_graph(TailSpec(complete_graph(3), "k0", 1))  # contains u1
     with pytest.raises(ValueError, match="tail labels already used"):
         tail_graph(TailSpec(clash_base, "k0", 1))
+
+
+# one rejected call per raise: case id -> (call, its ValueError message)
+REJECTED_ARGUMENTS = {
+    "strip-negative-i": (lambda: StripSpec(-1, True, 4), "i must be nonnegative, got -1"),
+    "canonical-set-i0": (lambda: strip_canonical_set(0), "i must be positive, got 0"),
+    "unresolved-pair-i0": (
+        lambda: strip_unresolved_pair(0, [StripVertex(0, 0)]), "i must be positive, got 0"),
+    "nonbinary-d0": (lambda: NonbinarySpec(0, ("0",)), "d must be positive, got 0"),
+    "nonbinary-no-strings": (lambda: NonbinarySpec(1, ()), "need at least one page string"),
+    "ramp-digit-0": (lambda: ramp_midpoint_code(2, 0, "22"), "digit index must be in 1..2, got 0"),
+    "ramp-digit-3": (lambda: ramp_midpoint_code(2, 3, "22"), "digit index must be in 1..2, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_ARGUMENTS)
+def test_rejected_arguments_raise_their_message(case):
+    call, message = REJECTED_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_strip_vertex_labels():

@@ -1,15 +1,18 @@
 import random
+import re
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graph_from_seed
+from conftest import connected_graph_from_seed, make_abc_path
 from metricdim.families import StripSpec, strip_graph
 from metricdim.generators import (
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    ladder_graph,
     path_graph,
     random_connected_graph,
     random_graph,
@@ -153,6 +156,30 @@ def test_edit_errors(abc_path):
         add_edge(abc_path, "a", "a")
     with pytest.raises(ValueError, match="no vertex 'z'"):
         add_edge(abc_path, "a", "z")
+
+
+# one rejected call per raise: case id -> (call, its ValueError message)
+REJECTED_ARGUMENTS = {
+    "remove-self-loop": (lambda: remove_edge(make_abc_path(), "a", "a"), "self-loop at 'a'"),
+    "path-0": (lambda: path_graph(0), "need at least one vertex"),
+    "cycle-2": (lambda: cycle_graph(2), "need at least three vertices"),
+    "complete-0": (lambda: complete_graph(0), "need at least one vertex"),
+    "bipartite-0-2": (
+        lambda: complete_bipartite_graph(0, 2), "both sides need at least one vertex"),
+    "bipartite-2-0": (
+        lambda: complete_bipartite_graph(2, 0), "both sides need at least one vertex"),
+    "ladder-1": (lambda: ladder_graph(1), "need at least two columns"),
+    "random-0": (lambda: random_graph(random.Random(0), 0, 0.5), "need at least one vertex"),
+    "random-connected-0": (
+        lambda: random_connected_graph(random.Random(0), 0, 0.5), "need at least one vertex"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_ARGUMENTS)
+def test_rejected_arguments_raise_their_message(case):
+    call, message = REJECTED_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_add_then_remove_is_identity(abc_path):

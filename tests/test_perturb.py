@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graph_from_seed
+from conftest import connected_graph_from_seed, make_abc_path
 from metricdim import perturb
 from metricdim.errors import NotResolvingError
 from metricdim.families import StripSpec, strip_canonical_set, strip_graph
@@ -121,6 +122,20 @@ def test_addition_errors(abc_path):
         augment_addition(build_graph([("a", "b"), ("c", "d")]), ("zz",), "a", "c")
     with pytest.raises(ValueError, match="^no vertex 'zz'$"):
         augment_addition(abc_path, ("zz",), "a", "c")
+
+
+# one rejected call per raise: case id -> (call, its ValueError message)
+REJECTED_ARGUMENTS = {
+    "addition-self-loop": (
+        lambda: augment_addition(make_abc_path(), ("a",), "a", "a"), "self-loop at 'a'"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_ARGUMENTS)
+def test_rejected_arguments_raise_their_message(case):
+    call, message = REJECTED_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_removal_on_cycle():

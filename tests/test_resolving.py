@@ -1,11 +1,12 @@
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graph_from_seed, stack_depth
+from conftest import connected_graph_from_seed, make_abc_path, stack_depth
 from metricdim.errors import BudgetError, ExceededError
 from metricdim.families import (
     KiteSpec,
@@ -122,6 +123,7 @@ def test_exact_degenerate_graphs():
     assert metric_dimension_reference(single).witness == ("p0",)
     empty = build_graph([])
     assert metric_dimension_exact(empty) == DimensionResult(0, (), True, 0)
+    assert metric_dimension_reference(empty) == DimensionResult(0, (), True, 0)
 
 
 def test_exact_small_goldens():
@@ -164,12 +166,35 @@ def test_exact_errors():
         metric_dimension_exact(two_parts)
     with pytest.raises(ExceededError):
         metric_dimension_exact(cycle_graph(5), max_k=1)
+    # K6 has k0 = 2 and dimension 5: sizes 2..4 are searched before the error
+    with pytest.raises(ExceededError, match=r"^no resolving set of size <= 4$"):
+        metric_dimension_exact(complete_graph(6), max_k=4)
     with pytest.raises(BudgetError):
         metric_dimension_exact(complete_graph(6), node_budget=1)
     with pytest.raises(BudgetError):  # raised at the first search node
         metric_dimension_exact(ladder_graph(5), node_budget=0)
     with pytest.raises(BudgetError):  # the budget covers building rows and separators
         metric_dimension_exact(path_graph(300), time_budget=0.0)
+
+
+# one rejected call per raise: case id -> (call, its ValueError message)
+REJECTED_ARGUMENTS = {
+    "exact-max-k-0": (
+        lambda: metric_dimension_exact(make_abc_path(), max_k=0), "max_k must be at least 1"),
+    "reference-disconnected": (
+        lambda: metric_dimension_reference(build_graph([("a", "b"), ("c", "d")])),
+        "exact dimension requires a connected graph"),
+    "block-bound-representatives": (
+        lambda: block_lower_bound_check(make_abc_path(), [["a"], ["b"]], ["a"]),
+        "need exactly one representative per block"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_ARGUMENTS)
+def test_rejected_arguments_raise_their_message(case):
+    call, message = REJECTED_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _relabelled(graph, rng):

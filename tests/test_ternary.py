@@ -1,3 +1,4 @@
+import re
 from collections import deque
 from itertools import combinations, product
 
@@ -100,6 +101,19 @@ def test_canonical_small_sets():
     assert canonical_conflict_free(2) == [
         "00", "01", "02", "10", "11", "12", "20", "21",
     ]
+
+
+# one rejected call per raise: case id -> (call, its ValueError message)
+REJECTED_ARGUMENTS = {
+    "canonical-0": (lambda: canonical_conflict_free(0), "n must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_ARGUMENTS)
+def test_rejected_arguments_raise_their_message(case):
+    call, message = REJECTED_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
