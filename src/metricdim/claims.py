@@ -158,7 +158,7 @@ def claim_strip_unresolved_pair(seed: int) -> str:
                 families.StripVertex(a, b) for a in range(max_col + 1) for b in (0, 1)
             ]
             witness = rng.sample(pool, rng.randint(1, min(6, len(pool))))
-            lo, hi = families.strip_unresolved_pair(i, witness)
+            lo, hi = families.strip_unresolved_pair(witness)
             k = lo.column
             labels = [w.label for w in witness]
             code_lo = metric_code(g, labels, lo.label)
@@ -214,12 +214,10 @@ def claim_perturb_soundness(seed: int) -> str:
         g = generators.random_connected_graph(rng, n, rng.uniform(0.1, 0.5))
         witness = _random_resolving_witness(rng, g)
         non_edges = [e for e in itertools.combinations(g.vertices(), 2) if not g.has_edge(*e)]
-        do_add = rng.random() < 0.5 and bool(non_edges)
         # the removals are built only when one is drawn; with none, add instead
-        safe_removals = [] if do_add else _non_bridges(g)
-        do_add = do_add or not safe_removals
-        if do_add and not non_edges:
-            continue
+        # (a graph with no non-edge is complete on n >= 4, so it has removals)
+        safe_removals = [] if rng.random() < 0.5 and non_edges else _non_bridges(g)
+        do_add = not safe_removals
         if do_add:
             step = EditStep(EditOp.ADD, *rng.choice(non_edges))
             additions += 1
@@ -348,7 +346,7 @@ def claim_nonbinary_ramp_codes(seed: int) -> str:
     digit_hubs = [f"w{j}" for j in range(1, spec.d + 1)]
     midpoints = families.nonbinary_ramp_midpoints(spec)
     for label, i, x in midpoints:
-        predicted = families.ramp_midpoint_code(spec.d, i, x)
+        predicted = families.ramp_midpoint_code(i, x)
         actual = metric_code(graph, digit_hubs, label)
         if actual != predicted:
             raise ClaimFailure(f"{label}: BFS code {actual}, predicted {predicted}")

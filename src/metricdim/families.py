@@ -120,18 +120,13 @@ def strip_canonical_set(i: int) -> tuple[StripVertex, ...]:
     return row0 + row1
 
 
-def strip_unresolved_pair(
-    i: int, witness: Iterable[StripVertex]
-) -> tuple[StripVertex, StripVertex]:
+def strip_unresolved_pair(witness: Iterable[StripVertex]) -> tuple[StripVertex, StripVertex]:
     """The column pair that a finite witness cannot split in the unprimed strip.
 
-    With k one past the witness's maximum column, both vertices of column k
-    sit at distance ceil((k - a) / i) from every witness vertex in column a,
-    so (v_k0, v_k1) share their code. The returned pair does not depend on
-    i; the guarantee it encodes does.
+    In the strip of any gap i >= 1, with k one past the witness's maximum
+    column, both vertices of column k sit at distance ceil((k - a) / i) from
+    every witness vertex in column a, so (v_k0, v_k1) share their code.
     """
-    if i < 1:
-        raise ValueError(f"i must be positive, got {i}")
     witness = tuple(witness)
     if not witness:
         raise ValueError("witness must be nonempty")
@@ -250,14 +245,13 @@ def nonbinary_ramp_midpoints(spec: NonbinarySpec) -> list[tuple[str, int, str]]:
     return out
 
 
-def ramp_midpoint_code(d: int, i: int, x: str) -> tuple[int, ...]:
+def ramp_midpoint_code(i: int, x: str) -> tuple[int, ...]:
     """Predicted distances from the midpoint of page x's ramp at digit i to
-    the digit hubs w1..wd: 1 at position i, 2 where x holds 1, 3 where x
-    holds 0 or 2. Digit positions are 1-based.
+    the digit hubs w1..wd, d = len(x): 1 at position i, 2 where x holds 1,
+    3 where x holds 0 or 2. Digit positions are 1-based.
     """
     validate_ternary(x)
-    if len(x) != d:
-        raise ValueError(f"string {x!r} does not have length {d}")
+    d = len(x)
     if not 1 <= i <= d:
         raise ValueError(f"digit index must be in 1..{d}, got {i}")
     if x[i - 1] != "2":

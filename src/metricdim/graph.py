@@ -15,23 +15,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
+# Distance for vertices in another component: not an integer, equal only to
+# itself, and arithmetic or ordering on it raises.
+UNREACHABLE = None
 
-class _Unreachable:
-    """Distance sentinel for vertices in another component.
-
-    Deliberately not an integer: it compares equal only to itself and any
-    arithmetic on it raises, so it can never be mistaken for a distance.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNREACHABLE"
-
-
-UNREACHABLE = _Unreachable()
-
-Distance = int | _Unreachable
+Distance = int | None
 
 
 def validate_label(label: object) -> str:

@@ -76,26 +76,23 @@ def canonical_conflict_free(n: int) -> list[str]:
     return out
 
 
-def _max_independent(strings: list[str]) -> tuple[int, list[str]]:
+def _max_independent(strings: list[str]) -> list[str]:
     """Deterministic branch-and-bound maximum independent set of the conflict graph."""
-    best_size = 0
     best_pick: list[str] = []
 
     def grow(pool: list[str], picked: list[str]) -> None:
-        nonlocal best_size, best_pick
-        if len(picked) + len(pool) <= best_size:
+        nonlocal best_pick
+        if len(picked) + len(pool) <= len(best_pick):
             return
         if not pool:
-            if len(picked) > best_size:
-                best_size = len(picked)
-                best_pick = list(picked)
+            best_pick = list(picked)
             return
         head, rest = pool[0], pool[1:]
         grow([s for s in rest if not _conflicts(head, s)], picked + [head])
         grow(rest, picked)
 
     grow(sorted(strings), [])
-    return best_size, sorted(best_pick)
+    return sorted(best_pick)
 
 
 def max_conflict_free_bruteforce(n: int) -> tuple[int, list[str]]:
@@ -115,10 +112,7 @@ def max_conflict_free_bruteforce(n: int) -> tuple[int, list[str]]:
     for digits in product("012", repeat=n):
         s = "".join(digits)
         parts.setdefault(_ones(s), []).append(s)
-    total = 0
     witness: list[str] = []
     for members in parts.values():
-        size, picked = _max_independent(members)
-        total += size
-        witness.extend(picked)
-    return total, sorted(witness)
+        witness.extend(_max_independent(members))
+    return len(witness), sorted(witness)

@@ -5,11 +5,12 @@ The per-test time limit is in the root conftest.py, which perfbench's tests shar
 
 import random
 import sys
+from collections import deque
 
 import pytest
 
 from metricdim.generators import random_connected_graph
-from metricdim.graph import build_graph
+from metricdim.graph import UNREACHABLE, build_graph
 
 
 def make_abc_path():
@@ -34,3 +35,18 @@ def stack_depth():
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     return depth
+
+
+def reference_bfs(graph, source):
+    """Distances from `source` by label, every vertex listed in `vertices()`
+    order, UNREACHABLE for other components: a deque BFS over
+    `Graph.neighbors`, independent of `Graph.distances`."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in graph.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return {v: dist.get(v, UNREACHABLE) for v in graph.vertices()}

@@ -1,5 +1,8 @@
+import io
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,13 @@ def test_dim_on_path(capsys, path_file):
     assert payload["witness"] == ["p0"]
     assert payload["exhaustive"] is True
     assert payload["nodes_explored"] >= 1
+
+
+def test_dim_reads_the_graph_from_stdin(capsys, monkeypatch, path_file):
+    code, payload = run_json(capsys, "dim", path_file)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(path_file).read_text()))
+    assert run_json(capsys, "dim", "-") == (code, payload)
+    assert code == 0
 
 
 def test_dim_exceeded_max_k(capsys, tmp_path):

@@ -119,20 +119,21 @@ def test_canonical_sets():
 
 def test_unresolved_pair_from_witness_window():
     witness = [StripVertex(a, b) for a in range(4) for b in (0, 1)]
-    assert strip_unresolved_pair(1, witness) == (StripVertex(4, 0), StripVertex(4, 1))
-    assert strip_unresolved_pair(2, [StripVertex(0, 0)]) == (
+    assert strip_unresolved_pair(witness) == (StripVertex(4, 0), StripVertex(4, 1))
+    assert strip_unresolved_pair([StripVertex(0, 0)]) == (
         StripVertex(1, 0),
         StripVertex(1, 1),
     )
     with pytest.raises(ValueError, match="witness must be nonempty"):
-        strip_unresolved_pair(1, [])
+        strip_unresolved_pair([])
 
 
-def test_unresolved_pair_codes_on_window():
-    i, n_cols = 2, 20
-    g = strip_graph(StripSpec(i, False, n_cols))
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_unresolved_pair_codes_on_window(i):
+    # the pair is computed without i and stays unsplit in every strip
+    g = strip_graph(StripSpec(i, False, 20))
     witness = [StripVertex(a, b) for a in range(5) for b in (0, 1)]
-    lo, hi = strip_unresolved_pair(i, witness)
+    lo, hi = strip_unresolved_pair(witness)
     labels = [w.label for w in witness]
     code_lo = metric_code(g, labels, lo.label)
     code_hi = metric_code(g, labels, hi.label)
@@ -193,7 +194,7 @@ def test_nonbinary_midpoint_codes_match_prediction():
     g, _, _ = nonbinary_graph(spec)
     hubs = ["w1", "w2"]
     for label, i, x in nonbinary_ramp_midpoints(spec):
-        assert metric_code(g, hubs, label) == ramp_midpoint_code(2, i, x)
+        assert metric_code(g, hubs, label) == ramp_midpoint_code(i, x)
 
 
 def test_nonbinary_rejects_conflicts_and_mismatches():
@@ -241,13 +242,11 @@ def test_pages_d3_with_edge_has_dimension_19():
 
 
 def test_ramp_midpoint_code_cases():
-    assert ramp_midpoint_code(2, 1, "20") == (1, 3)
-    assert ramp_midpoint_code(2, 2, "12") == (2, 1)
-    assert ramp_midpoint_code(3, 1, "212") == (1, 2, 3)
+    assert ramp_midpoint_code(1, "20") == (1, 3)
+    assert ramp_midpoint_code(2, "12") == (2, 1)
+    assert ramp_midpoint_code(1, "212") == (1, 2, 3)
     with pytest.raises(ValueError, match="is not 2"):
-        ramp_midpoint_code(2, 1, "12")
-    with pytest.raises(ValueError, match="does not have length 3"):
-        ramp_midpoint_code(3, 1, "20")
+        ramp_midpoint_code(1, "12")
 
 
 def test_tail_graph_counts():
@@ -272,12 +271,10 @@ def test_tail_graph_errors():
 REJECTED_ARGUMENTS = {
     "strip-negative-i": (lambda: StripSpec(-1, True, 4), "i must be nonnegative, got -1"),
     "canonical-set-i0": (lambda: strip_canonical_set(0), "i must be positive, got 0"),
-    "unresolved-pair-i0": (
-        lambda: strip_unresolved_pair(0, [StripVertex(0, 0)]), "i must be positive, got 0"),
     "nonbinary-d0": (lambda: NonbinarySpec(0, ("0",)), "d must be positive, got 0"),
     "nonbinary-no-strings": (lambda: NonbinarySpec(1, ()), "need at least one page string"),
-    "ramp-digit-0": (lambda: ramp_midpoint_code(2, 0, "22"), "digit index must be in 1..2, got 0"),
-    "ramp-digit-3": (lambda: ramp_midpoint_code(2, 3, "22"), "digit index must be in 1..2, got 3"),
+    "ramp-digit-0": (lambda: ramp_midpoint_code(0, "22"), "digit index must be in 1..2, got 0"),
+    "ramp-digit-3": (lambda: ramp_midpoint_code(3, "22"), "digit index must be in 1..2, got 3"),
 }
 
 

@@ -1,12 +1,11 @@
 import random
 import re
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graph_from_seed, make_abc_path
+from conftest import connected_graph_from_seed, make_abc_path, reference_bfs
 from metricdim.families import StripSpec, strip_graph
 from metricdim.generators import (
     complete_bipartite_graph,
@@ -203,11 +202,14 @@ def test_bfs_unreachable_sentinel():
     g = build_graph([("a", "b"), ("c", "d")])
     d = bfs_distances(g, "a")
     assert d["b"] == 1
-    assert d["c"] is UNREACHABLE
+    assert d["c"] is UNREACHABLE is None
+    assert g.distances("a") == (0, 1, None, None)
     assert d["c"] == d["d"]  # sentinel equals itself
     assert d["c"] != 5  # and never an integer
     with pytest.raises(TypeError):
         d["c"] + 1
+    with pytest.raises(TypeError):
+        d["c"] < 1
 
 
 def test_bfs_unknown_source(abc_path):
@@ -235,18 +237,6 @@ def test_edits_do_not_inherit_cached_rows():
     assert {v: c.distances(v) for v in c.vertices()} == ring
 
 
-def _reference_bfs(graph, source):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in graph.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return {v: dist.get(v, UNREACHABLE) for v in graph.vertices()}
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_bfs_matches_reference_on_random_graphs(seed):
@@ -254,7 +244,7 @@ def test_bfs_matches_reference_on_random_graphs(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.0, 0.5))
     for s in g.vertices():
-        expected = _reference_bfs(g, s)
+        expected = reference_bfs(g, s)
         assert bfs_distances(g, s) == expected
         assert g.distances(s) == tuple(expected.values())
 
@@ -263,7 +253,7 @@ def test_bfs_matches_reference_on_random_graphs(seed):
 @settings(max_examples=60, deadline=None)
 def test_edit_chains_match_reference(seed):
     # edited graphs skip the checks and share their parent's vertex index;
-    # every row must still match a BFS written here and a checked rebuild,
+    # every row must still match the reference BFS and a checked rebuild,
     # and the parent must be left as it was
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.0, 0.5))
@@ -277,7 +267,7 @@ def test_edit_chains_match_reference(seed):
         checked = build_graph(edited.edges(), isolated=verts)
         assert checked == edited
         for s in verts:
-            assert edited.distances(s) == tuple(_reference_bfs(edited, s).values())
+            assert edited.distances(s) == tuple(reference_bfs(edited, s).values())
             assert edited.distances(s) == checked.distances(s)
             assert edited.index_of(s) == checked.index_of(s)
         assert {s: g.distances(s) for s in verts} == rows
@@ -286,9 +276,9 @@ def test_edit_chains_match_reference(seed):
 
 
 def _rows_match_reference(g):
-    """Check every row of `g` against `_reference_bfs`."""
+    """Check every row of `g` against `reference_bfs`."""
     for s in g.vertices():
-        assert g.distances(s) == tuple(_reference_bfs(g, s).values())
+        assert g.distances(s) == tuple(reference_bfs(g, s).values())
 
 
 @given(st.integers(20, 60), st.floats(0.6, 0.95), st.integers(0, 10_000))

@@ -4,15 +4,16 @@ A set W resolves G exactly when every vertex pair has a member of W at
 different distances from the two, so the metric dimension is the optimum of
 the 0/1 program "minimize sum x_w subject to, for every pair {u, v},
 sum of x_w over the separators w of {u, v} >= 1". The program is built here
-from a BFS written in this file and solved with scipy's `milp` (HiGHS); the
-tests skip when scipy is missing, and the library itself never imports it.
+from the suite's own BFS (`conftest.reference_bfs`, independent of
+`Graph.distances`) and solved with scipy's `milp` (HiGHS); the tests skip
+when scipy is missing, and the library itself never imports it.
 """
 
-from collections import deque
 from itertools import combinations
 
 import pytest
 
+from conftest import reference_bfs
 from metricdim import families, ternary
 from metricdim.graph import add_edge
 from metricdim.resolving import is_resolving, metric_dimension_exact
@@ -21,21 +22,9 @@ np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
 
 
-def _bfs(graph, source):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in graph.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
 def _ilp_dimension(graph):
     verts = graph.vertices()
-    dist = [_bfs(graph, w) for w in verts]
+    dist = [reference_bfs(graph, w) for w in verts]
     rows = [
         [1.0 if d[u] != d[v] else 0.0 for d in dist]
         for u, v in combinations(verts, 2)

@@ -3,7 +3,7 @@
 The package has no runtime dependencies: it imports only the standard library.
 Its root re-exports nothing, so importing one module loads only that module and
 what it imports. Every public top-level function and class is used somewhere in
-the library itself.
+the library itself, and every module reads each name it imports.
 """
 
 import ast
@@ -71,3 +71,20 @@ def test_every_public_definition_is_used_in_the_library():
                     used.add(node.attr)
     assert defined
     assert [f"{file}: {name}" for file, name in defined if name not in used] == []
+
+
+def test_every_import_is_used():
+    # an import is used when an `ast.Name` in its own module reads the bound name
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
