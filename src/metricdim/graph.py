@@ -12,7 +12,6 @@ the parent's labels and index and checks nothing again.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
 # Distance for vertices in another component: not an integer, equal only to
@@ -37,8 +36,10 @@ def validate_label(label: object) -> str:
 class Graph:
     """Immutable undirected simple graph.
 
-    Not a checking constructor: graphs come from `build_graph` (or the
-    parser, generators and families built on it) and from the edits. The
+    Not a checking constructor: graphs come from `build_graph` (and the
+    generators and families built on it) and `parse_edge_list`, which stage
+    their edges as one flat list of endpoints and share one assembly step
+    that checks each distinct label once, and from the edits. The
     adjacency is one integer per vertex: bit j of `_masks[i]` is set iff the
     vertices at positions i and j of `vertices()` are adjacent; the label
     views are derived from those bits. `distances(source)` runs a
@@ -153,30 +154,49 @@ def build_graph(
     """Build a graph from unordered label pairs (tuples or two-item lists).
 
     Duplicate pairs collapse into one edge; `isolated` lists vertices that
-    appear in no edge. Each distinct label is checked once, after staging;
-    a label is hashed only once it is known to be a string.
+    appear in no edge. The endpoints are staged in one flat list; a pair is
+    checked only for a loop, which raises before later pairs are read, and
+    for a label that is not a string, which could not be hashed or sorted.
+    `_assemble` checks the labels.
     """
-    staged: defaultdict[str, set[str]] = defaultdict(set)
-    for label in isolated:
-        if not isinstance(label, str):
+    singles = list(isolated)
+    for label in singles:
+        if not isinstance(label, str):  # before it is hashed
             validate_label(label)
-        staged[label]  # staged with no neighbours yet
+    ends: list[str] = []
     for u, v in edges:
         if u == v or not isinstance(u, str) or not isinstance(v, str):
-            # raise as a check of each label in order would have: a bad
-            # label staged so far or in this pair first, else the loop
-            for label in (*staged, u, v):
-                validate_label(label)
+            _assemble(singles, ends)  # what the pairs before this one raise comes first
+            validate_label(u)
+            validate_label(v)
             raise ValueError(f"self-loop at {u!r}")
-        staged[u].add(v)
-        staged[v].add(u)
-    for label in staged:
-        validate_label(label)
-    verts = tuple(sorted(staged))
+        ends.append(u)
+        ends.append(v)
+    return _assemble(singles, ends)
+
+
+def _assemble(singles: list[str], ends: list[str]) -> Graph:
+    """The graph on string labels: `singles` and the pairs ends[2k], ends[2k + 1].
+
+    Each distinct label is checked once, in first-seen order, singles
+    first; a bad label up to and in the first self-loop's pair raises first.
+    """
+    labels = dict.fromkeys([*singles, *ends])
+    verts = tuple(sorted(labels))
     index = {v: i for i, v in enumerate(verts)}
     bits = [1 << i for i in range(len(verts))]
-    # distinct bits: their sum is their OR
-    masks = [sum(map(bits.__getitem__, map(index.__getitem__, staged[v]))) for v in verts]
+    masks = [0] * len(verts)
+    at = map(index.__getitem__, ends)
+    for i, j in zip(at, at):  # one edge per two endpoints; repeats OR in nothing
+        masks[i] |= bits[j]
+        masks[j] |= bits[i]
+    if any(map(int.__and__, masks, bits)):  # a vertex is its own neighbour
+        k = next(k for k in range(0, len(ends), 2) if ends[k] == ends[k + 1])
+        for label in (*singles, *ends[: k + 2]):  # a bad label up to the loop first
+            validate_label(label)
+        raise ValueError(f"self-loop at {ends[k]!r}")
+    for label in labels:
+        validate_label(label)
     return Graph(verts, index, masks)
 
 
@@ -232,20 +252,21 @@ def parse_edge_list(text: str) -> Graph:
     single label declares an isolated vertex; lines starting with `#` are
     comments; blank lines are ignored.
     """
-    edges: list[list[str]] = []
+    ends: list[str] = []
     singles: list[str] = []
     # one split per line: its first token starts with '#' iff its stripped
-    # text does
+    # text does; tokens are nonempty and hold no whitespace, so only a
+    # second token can be a bad label, and `_assemble` checks it
     for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
         if not tokens or tokens[0][0] == "#":
             continue
         if len(tokens) == 2:
-            edges.append(tokens)
+            ends.extend(tokens)
         elif len(tokens) == 1:
             singles.append(tokens[0])
         else:
             raise ValueError(f"line {lineno}: expected one or two labels, got {len(tokens)}")
-    return build_graph(edges, isolated=singles)
+    return _assemble(singles, ends)
 
 
 def format_edge_list(graph: Graph) -> str:

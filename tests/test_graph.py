@@ -80,6 +80,12 @@ def test_build_rejects_self_loop_and_bad_labels():
         build_graph([("d", "d")], isolated=["e f"])
     with pytest.raises(ValueError, match="self-loop at 'd'"):
         build_graph([("d", "d"), ("a", "b c")])
+    with pytest.raises(ValueError, match="self-loop at 'd'"):
+        build_graph([("d", "d"), (1, "b")])  # an earlier loop beats a later non-string
+    with pytest.raises(ValueError, match="self-loop at 'd'"):
+        build_graph([("d", "d"), ("a", "b", "c")])  # raised before a later pair is read
+    with pytest.raises(ValueError, match="may not contain whitespace"):
+        build_graph([("a", "b c"), ("b", None)])
     with pytest.raises(TypeError):  # Graph wraps checked fields; it checks no mapping
         Graph({"a": ["b"], "b": ["a"]})
 
@@ -506,6 +512,85 @@ def test_edge_list_separators_and_line_ends():
     # any str.isspace character separates labels; "\r\n" ends a line
     text = "a\u00a0b\r\nb\u3000c\r\nd\r\n"
     assert parse_edge_list(text) == build_graph([("a", "b"), ("b", "c")], isolated=["d"])
+
+
+# (text, exact message or (vertices, edges)): a structure error anywhere
+# beats a label error, and a bad label read up to the first self-loop (isolated
+# labels first) beats that loop
+PARSE_PRECEDENCE = [
+    ("a a\nx y z\n", "line 2: expected one or two labels, got 3"),
+    ("a #b\nc c\n", "vertex label may not start with '#': '#b'"),
+    ("c c\na #b\n", "self-loop at 'c'"),
+    ("e f\ng #h\ni i\n", "vertex label may not start with '#': '#h'"),
+    ("b b\n# x x\n", "self-loop at 'b'"),
+    ("x\tx\r\n", "self-loop at 'x'"),
+    ("a b\nb a\na b\n", (("a", "b"), [("a", "b")])),
+    ("a\na b\na\n", (("a", "b"), [("a", "b")])),
+    ("#a b\nc\n", (("c",), [])),
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_PRECEDENCE)
+def test_edge_list_error_precedence(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            parse_edge_list(text)
+    else:
+        g = parse_edge_list(text)
+        assert (g.vertices(), list(g.edges())) == expected
+
+
+def _reference_read(text):
+    """The edge-list format read line by line into a dict-of-sets model."""
+    model, edges, isolated = {}, [], []
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens or line.lstrip().startswith("#"):
+            continue
+        for label in tokens:
+            model.setdefault(label, set())
+        if len(tokens) == 1:
+            isolated.append(tokens[0])
+        else:
+            u, v = tokens
+            model[u].add(v)
+            model[v].add(u)
+            edges.append((u, v))
+    return model, edges, isolated
+
+
+_SEPARATORS = st.sampled_from([" ", "\t", "\u00a0", " \t"])
+_PADDING = st.sampled_from(["", " ", "\t", "\u00a0"])
+
+
+@st.composite
+def _edge_list_lines(draw, labels):
+    kind = draw(st.sampled_from(["edge", "edge", "single", "comment", "blank"]))
+    if kind == "edge":
+        u, v = draw(st.permutations(labels))[:2]
+        body = u + draw(_SEPARATORS) + v
+    elif kind == "single":
+        body = draw(st.sampled_from(labels))
+    elif kind == "comment":  # whatever follows the '#', even three tokens
+        body = "#" + draw(st.sampled_from(["", " x", "a b", " a b 1"]))
+    else:
+        body = ""
+    return draw(_PADDING) + body + draw(_PADDING) + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@given(st.lists(_LABELS, min_size=2, max_size=6, unique=True), st.data())
+@settings(max_examples=80, deadline=None)
+def test_edge_list_reader_matches_a_reference_reader(labels, data):
+    # duplicate and reversed edges, repeated single-label lines and labels
+    # both alone and in edges all come from drawing lines over few labels
+    text = "".join(data.draw(st.lists(_edge_list_lines(labels), max_size=14)))
+    model, edges, isolated = _reference_read(text)
+    g = parse_edge_list(text)
+    assert g == build_graph(edges, isolated)
+    _assert_matches_model(g, model)
+    # any iterable of pairs builds the same graph
+    assert build_graph(zip([u for u, _ in edges], [v for _, v in edges]), isolated) == g
+    assert build_graph((pair for pair in edges), iter(isolated)) == g
 
 
 def test_dot_export(abc_path):
