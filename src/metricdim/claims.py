@@ -190,15 +190,16 @@ def _random_resolving_witness(rng: random.Random, g: Graph) -> list[str]:
     """A random sample of `g`'s vertices, grown in random order until it resolves.
 
     The sample comes first and the other vertices follow in random order;
-    the witness is that order up to the last row `_code_classes` reads,
-    and never shorter than the sample.
+    the witness is the shortest prefix of that order that resolves, read
+    off `_code_classes` with no landmark set apart by its own row, and
+    never shorter than the sample.
     """
     verts = g.vertices()
     witness = rng.sample(verts, rng.randint(1, max(1, len(verts) // 3)))
     missing = [v for v in verts if v not in witness]
     rng.shuffle(missing)
     order = witness + missing[::-1]
-    return order[: max(len(witness), _code_classes(g, order)[1])]
+    return order[: max(len(witness), _code_classes(g, order, apart=False)[1])]
 
 
 def _non_bridges(g: Graph) -> list[tuple[str, str]]:

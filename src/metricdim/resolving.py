@@ -60,20 +60,31 @@ def metric_code(
     return tuple(graph.distances(w)[i] for w in landmarks)
 
 
-def _code_classes(graph: Graph, landmarks: Iterable[str]) -> tuple[list[int], int]:
+def _code_classes(
+    graph: Graph, landmarks: Iterable[str], apart: bool = True
+) -> tuple[list[int], int]:
     """Class of every vertex w.r.t. `landmarks`, and the number of rows read.
 
     Classes are indexed like `graph.vertices()`. Two vertices share a class
     iff they share a code; a class is named by the least index in it. Every
-    landmark is checked first; rows are then read in landmark order, each
-    splitting the classes by distance, only until every vertex has a class
-    of its own.
+    landmark is checked first. With `apart`, each landmark starts in a
+    class of its own: its own row, the only one holding 0 at its position,
+    would set it apart from every other vertex. Rows are then read in
+    landmark order, each splitting the classes by distance, only until the
+    non-landmarks are pairwise apart. Without `apart`, every vertex starts
+    in one class and rows are read until every vertex has its own, so
+    `read` is the length of the shortest prefix of `landmarks` that
+    resolves, when one does.
     """
     landmarks = tuple(landmarks)
-    for w in landmarks:
-        graph.index_of(w)
+    marks = list(map(graph.index_of, landmarks))
     n = graph.vertex_count
     classes = [0] * n
+    if apart:
+        for i in marks:
+            classes[i] = n + i  # taken by no other vertex; the first row read renames it i
+        if classes.count(0) < 2:  # no two non-landmarks to tell apart
+            return list(range(n)), 0
     read = 0
     for read, w in enumerate(landmarks, 1):
         ids: dict[tuple[int, Distance], int] = {}
@@ -84,7 +95,11 @@ def _code_classes(graph: Graph, landmarks: Iterable[str]) -> tuple[list[int], in
 
 
 def is_resolving(graph: Graph, landmarks: Iterable[str]) -> bool:
-    """Whether all vertices get pairwise distinct codes w.r.t. `landmarks`."""
+    """Whether all vertices get pairwise distinct codes w.r.t. `landmarks`.
+
+    A landmark's own row sets it apart, so rows are read only until the
+    non-landmarks are pairwise apart.
+    """
     return len(set(_code_classes(graph, landmarks)[0])) == graph.vertex_count
 
 

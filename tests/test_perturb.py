@@ -283,6 +283,28 @@ def test_sequence_propagates_errors(abc_path):
         apply_edit_sequence(abc_path, ("a",), [EditStep(EditOp.ADD, "a", "b")])
 
 
+def test_edit_chain_and_its_checks_compute_pinned_rows(monkeypatch):
+    fresh = []  # (edge count, source) of every row computed, not read from a cache
+    distances = Graph.distances
+
+    def counting_distances(graph, source):
+        if source not in graph._rows:
+            fresh.append((graph.edge_count, source))
+        return distances(graph, source)
+
+    monkeypatch.setattr(Graph, "distances", counting_distances)
+    steps = parse_edit_sequence("add c0 c5\nremove c9 c10\nadd c12 c14\n")
+    trajectory = apply_edit_sequence(cycle_graph(16), ("c0", "c1"), steps)
+    # the per-step check of the `perturb` command
+    assert all(is_resolving(edited, witness) for edited, witness in trajectory[1:])
+    assert [len(witness) for _, witness in trajectory] == [2, 11, 13, 16]
+    # Each landmark is set apart by its own row, so every check stops once
+    # the few non-landmarks are apart, and the per-step checks need no row
+    # the transfers have not computed. Reading rows until the landmarks are
+    # apart too computes 22 rows here.
+    assert len(fresh) == 5, fresh
+
+
 @given(st.integers(0, 100_000))
 @settings(max_examples=60, deadline=None)
 def test_random_edits_stay_resolving(seed):

@@ -1,12 +1,13 @@
 import random
 import re
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graph_from_seed, make_abc_path, stack_depth
+from conftest import connected_graph_from_seed, make_abc_path, reference_bfs, stack_depth
 from metricdim.errors import BudgetError, ExceededError
 from metricdim.families import (
     KiteSpec,
@@ -24,6 +25,7 @@ from metricdim.generators import (
     ladder_graph,
     path_graph,
     random_connected_graph,
+    random_graph,
 )
 from metricdim.graph import Graph, add_edge, bfs_distances, build_graph
 from metricdim.resolving import (
@@ -99,6 +101,17 @@ def row_sources(monkeypatch):
 def test_check_stops_reading_rows_once_resolved(row_sources):
     assert is_resolving(path_graph(50), ["p0", "p10", "p20"])
     assert row_sources == ["p0"]
+
+
+def test_a_witness_of_all_but_one_vertex_reads_no_row(row_sources):
+    # each landmark is set apart by its own row, and a single non-landmark
+    # has no other vertex to share a code with
+    for g in (path_graph(6), ladder_graph(4), build_graph([("a", "b"), ("c", "d")])):
+        verts = g.vertices()
+        for witness in (verts, verts[:-1], verts[1:], verts[::-1]):
+            assert is_resolving(g, witness)
+            assert find_unresolved_pair(g, witness) is None
+    assert row_sources == []
 
 
 def test_resolving_with_unreachable_codes():
@@ -343,6 +356,44 @@ def test_unresolved_pair_agrees_with_is_resolving(seed):
             if all(d[a] == d[b] for d in dist)
         ]
         assert pair == min(shared, default=None)
+
+
+def _shared_code_pair(graph, landmarks):
+    """Least label pair whose codes over `landmarks` are equal, or None: the
+    definition, with every code read from `reference_bfs`."""
+    rows = [reference_bfs(graph, w) for w in landmarks]
+    code = {v: tuple(row[v] for row in rows) for v in graph.vertices()}
+    pairs = combinations(sorted(code), 2)
+    return min(((a, b) for a, b in pairs if code[a] == code[b]), default=None)
+
+
+WITNESS_KINDS = ("empty", "one", "all but two", "all but one", "every", "random", "twice")
+
+
+@given(st.integers(0, 10_000), st.sampled_from(WITNESS_KINDS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_checks_match_the_code_definition(seed, kind, connected):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    build = random_connected_graph if connected else random_graph
+    g = build(rng, n, rng.uniform(0.05, 0.6))
+    verts = list(g.vertices())
+    rng.shuffle(verts)
+    if kind == "twice":
+        witness = rng.sample(verts, rng.randint(1, n))
+        witness.insert(rng.randint(0, len(witness)), rng.choice(witness))
+    else:
+        witness = {
+            "empty": [],
+            "one": verts[:1],
+            "all but two": verts[2:],
+            "all but one": verts[1:],
+            "every": verts,
+            "random": rng.sample(verts, rng.randint(0, n)),
+        }[kind]
+    pair = _shared_code_pair(g, witness)
+    assert find_unresolved_pair(g, witness) == pair
+    assert is_resolving(g, witness) == (pair is None)
 
 
 def test_block_bound_vacuous_single_block(abc_path):
